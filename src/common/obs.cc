@@ -243,6 +243,8 @@ struct ProgressState
     size_t total = 0;
     size_t doneLocal = 0;
     size_t doneExternal = 0;
+    /** Cells served from the cell store instead of simulated. */
+    size_t reused = 0;
     uint64_t ops = 0;
     unsigned intervalSec = 10;
     uint64_t beginUs = 0;
@@ -281,6 +283,7 @@ progressEmitLocked(ProgressState& p, bool final)
 {
     uint64_t nowUs = obsdetail::obsNowUs();
     size_t done = std::max(p.doneLocal, p.doneExternal);
+    size_t computed = done > p.reused ? done - p.reused : 0;
     double elapsedSec =
         static_cast<double>(nowUs - p.beginUs) / 1e6;
 
@@ -318,10 +321,10 @@ progressEmitLocked(ProgressState& p, bool final)
                          : 0.0;
         if (final) {
             std::fprintf(stderr,
-                         "progress: %s done, %zu/%zu cells, %.2f Mops/s, "
-                         "%.1fs elapsed\n",
-                         p.label.c_str(), done, p.total, rollingMops,
-                         elapsedSec);
+                         "progress: %s done, %zu/%zu cells (%zu computed, "
+                         "%zu reused), %.2f Mops/s, %.1fs elapsed\n",
+                         p.label.c_str(), done, p.total, computed, p.reused,
+                         rollingMops, elapsedSec);
         } else {
             std::fprintf(stderr,
                          "progress: %s %zu/%zu cells (%.1f%%), %.2f "
@@ -339,16 +342,18 @@ progressEmitLocked(ProgressState& p, bool final)
     // never a torn file.
     if (!p.statusPath.empty() &&
         (final || nowUs - p.lastStatusUs >= 1'000'000ull)) {
-        char buf[512];
+        char buf[768];
         std::snprintf(
             buf, sizeof(buf),
             "{\"experiment\":\"%s\",\"state\":\"%s\","
             "\"cells_done\":%zu,\"cells_total\":%zu,"
+            "\"cells_computed\":%zu,\"cells_reused\":%zu,"
             "\"mops\":%.3f,\"eta_sec\":%llu,\"elapsed_sec\":%.1f,"
             "\"owner\":\"pid-%llu\",\"updated_unix_sec\":%llu}\n",
             jsonEscape(p.label).c_str(), final ? "done" : "running", done,
-            p.total, rollingMops, static_cast<unsigned long long>(etaSec),
-            elapsedSec, static_cast<unsigned long long>(processId()),
+            p.total, computed, p.reused, rollingMops,
+            static_cast<unsigned long long>(etaSec), elapsedSec,
+            static_cast<unsigned long long>(processId()),
             static_cast<unsigned long long>(unixNowSec()));
         writeAtomic(p.statusPath, buf);
         p.lastStatusUs = nowUs;
@@ -837,6 +842,7 @@ obsProgressBegin(const ObsProgressConfig& cfg)
     p.intervalSec = cfg.intervalSec;
     p.doneLocal = 0;
     p.doneExternal = 0;
+    p.reused = 0;
     p.ops = 0;
     p.beginUs = obsdetail::obsNowUs();
     p.lastReportUs = p.beginUs;
@@ -870,6 +876,18 @@ obsProgressUpdate(size_t done)
     ProgressState& p = progress();
     std::lock_guard<std::mutex> lk(p.mu);
     p.doneExternal = std::max(p.doneExternal, done);
+    progressEmitLocked(p, /*final=*/false);
+}
+
+void
+obsProgressNoteReused(size_t cells)
+{
+    if (!progressActive.load(std::memory_order_relaxed) || cells == 0)
+        return;
+    ProgressState& p = progress();
+    std::lock_guard<std::mutex> lk(p.mu);
+    p.reused += cells;
+    p.doneLocal += cells;
     progressEmitLocked(p, /*final=*/false);
 }
 
@@ -910,6 +928,7 @@ obsFormatStatus(const std::string& json)
 {
     std::string experiment, state;
     double done = 0, total = 0, mops = 0, eta = 0, elapsed = 0;
+    double computed = -1, reused = -1;
     if (!jsonStrField(json, "experiment", experiment) ||
         !jsonStrField(json, "state", state) ||
         !jsonNumField(json, "cells_done", done) ||
@@ -918,6 +937,13 @@ obsFormatStatus(const std::string& json)
     jsonNumField(json, "mops", mops);
     jsonNumField(json, "eta_sec", eta);
     jsonNumField(json, "elapsed_sec", elapsed);
+    jsonNumField(json, "cells_computed", computed);
+    jsonNumField(json, "cells_reused", reused);
+    char split[96] = "";
+    if (computed >= 0 && reused >= 0) {
+        std::snprintf(split, sizeof(split), " (%.0f computed, %.0f reused)",
+                      computed, reused);
+    }
     std::string owner;
     jsonStrField(json, "owner", owner);
 
@@ -925,9 +951,9 @@ obsFormatStatus(const std::string& json)
     char buf[512];
     if (state == "done") {
         std::snprintf(buf, sizeof(buf),
-                      "sweep '%s': done — %.0f/%.0f cells, %.2f Mops/s, "
+                      "sweep '%s': done — %.0f/%.0f cells%s, %.2f Mops/s, "
                       "%.1fs elapsed%s%s",
-                      experiment.c_str(), done, total, mops, elapsed,
+                      experiment.c_str(), done, total, split, mops, elapsed,
                       owner.empty() ? "" : ", owner ", owner.c_str());
     } else {
         std::snprintf(buf, sizeof(buf),

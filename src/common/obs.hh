@@ -299,6 +299,11 @@ void obsProgressCellDone(uint64_t ops);
  *  other processes' committed cells). Monotonic: lower counts ignored. */
 void obsProgressUpdate(size_t done);
 
+/** `cells` were served from the cell store instead of simulated: they
+ *  advance the done count, and the closing line and status.json report
+ *  them apart from computed cells. */
+void obsProgressNoteReused(size_t cells);
+
 /** Credit ops executed elsewhere (a shard coordinator summing merged
  *  cells) to the Mops/s accounting without advancing the done count. */
 void obsProgressNoteOps(uint64_t ops);

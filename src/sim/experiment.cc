@@ -6,33 +6,19 @@
 #include <filesystem>
 #include <map>
 #include <system_error>
+#include <unordered_map>
 
 #include "common/env.hh"
 #include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 #include "common/stats.hh"
+#include "sim/cell_key.hh"
 #include "trace/serialize.hh"
 
 namespace constable {
 
 namespace {
-
-/** boost-style hash_combine over 64-bit values. */
-uint64_t
-hashCombine(uint64_t h, uint64_t v)
-{
-    return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-}
-
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 void
 makeDirs(const std::string& dir, const char* what)
@@ -90,8 +76,9 @@ printUsage(const char* prog, int exit_code)
         "  --suite-limit=N     truncate the suite to its first N traces\n"
         "  --trace-dir=PATH    on-disk trace cache (generate once, then "
         "load)\n"
-        "  --checkpoint-dir=PATH  per-cell checkpoints; interrupted sweeps "
-        "resume\n"
+        "  --checkpoint-dir=PATH  content-addressed cell store; sweeps "
+        "resume and\n                      share cells (one root may serve "
+        "every bench)\n"
         "  --trace-cache-max-mb=N       LRU-trim the trace cache to N MB "
         "(0 = off)\n"
         "  --trace-cache-max-age-days=N drop cache entries older than N "
@@ -445,8 +432,8 @@ Suite::fromTraces(std::vector<Trace> traces, bool inspect)
         e.spec.name = e.trace.name;
         e.spec.category = e.trace.category;
         e.spec.numArchRegs = e.trace.numArchRegs;
-        // No generating spec exists: key checkpoints on the trace bytes
-        // themselves, so an edited hand-built trace invalidates them.
+        // No generating spec exists: key cells on the trace bytes
+        // themselves, so an edited hand-built trace misses the store.
         e.key = traceContentHash(e.trace);
         if (inspect) {
             e.inspection = inspectLoads(e.trace);
@@ -485,15 +472,6 @@ Suite::smtTracePairs() const
     for (auto [a, b] : smtPairs(entries_.size()))
         out.emplace_back(&entries_[a].trace, &entries_[b].trace);
     return out;
-}
-
-uint64_t
-Suite::contentHash() const
-{
-    uint64_t h = 0x5417ab1eull;
-    for (const Entry& e : entries_)
-        h = hashCombine(h, e.key);
-    return h;
 }
 
 void
@@ -669,50 +647,60 @@ Experiment::add(const std::string& config_name, ConfigFactory factory)
 ExperimentResult
 Experiment::run()
 {
-    return runCells(suite_->size(), /*smt=*/false);
+    return runCells(/*smt=*/false);
 }
 
 ExperimentResult
 Experiment::runSmt()
 {
-    return runCells(suite_->smtTracePairs().size(), /*smt=*/true);
+    return runCells(/*smt=*/true);
 }
 
-std::string
-Experiment::checkpointDirFor(const std::string& root, bool smt,
-                             SweepManifest& manifest, size_t rows) const
+size_t
+Experiment::numRows(bool smt) const
 {
-    // Checkpoints key on the sweep's identity: the experiment name, the
-    // suite's content, and the ordered config names. Seed/threads are
-    // excluded — cells are deterministic functions of (row, config), so the
-    // same sweep resumed at a different thread count stays bit-identical.
-    uint64_t key = hashCombine(suite_->contentHash(), smt ? 1 : 0);
-    for (const std::string& n : names_)
-        key = hashCombine(key, fnv1a(n));
-    // Sampled and full-fidelity sweeps must never share cells: fold the
-    // sample spec (and the seed, which drives window selection) into the
-    // key so each spec gets its own checkpoint directory.
-    if (opts_.sample.enabled) {
-        key = hashCombine(key, fnv1a("sample:" + opts_.sample.spec()));
-        key = hashCombine(key, opts_.seed);
+    return smt ? smtPairs(suite_->size()).size() : suite_->size();
+}
+
+SweepManifest
+Experiment::manifest(bool smt) const
+{
+    SweepManifest m;
+    m.experiment = name_;
+    m.smt = smt;
+    m.numRows = numRows(smt);
+    m.numConfigs = factories_.size();
+    m.configNames = names_;
+    // Seed/threads stay out of full-fidelity keys: cells are deterministic
+    // functions of what they simulate, so a resume at another thread count
+    // or seed stays bit-identical. Sampling adds its spec and seed (the
+    // seed drives window selection).
+    CellKeyContext ctx;
+    ctx.inspected = suite_->inspected();
+    ctx.sample = &opts_.sample;
+    ctx.seed = opts_.seed;
+    auto pairs = smt ? smtPairs(suite_->size())
+                     : std::vector<std::pair<size_t, size_t>>{};
+    m.cellKeys.reserve(m.numCells());
+    for (size_t row = 0; row < m.numRows; ++row) {
+        uint64_t rowKey =
+            smt ? smtRowKey(suite_->rowKey(pairs[row].first),
+                            suite_->rowKey(pairs[row].second))
+                : suite_->rowKey(row);
+        for (const ConfigFactory& f : factories_)
+            m.cellKeys.push_back(cellKey(rowKey, f(row), ctx));
     }
-    manifest.experiment = name_;
-    manifest.suiteHash = key;
-    manifest.smt = smt;
-    manifest.numRows = rows;
-    manifest.numConfigs = factories_.size();
-    manifest.configNames = names_;
-    return root + "/" + sanitizeFileName(name_) + "-" + hex16(key);
+    return m;
 }
 
 ExperimentResult
-Experiment::runCells(size_t rows, bool smt)
+Experiment::runCells(bool smt)
 {
     if (factories_.empty())
         fatal("experiment '" + name_ + "' has no configurations");
 
     MatrixResult m;
-    m.numRows = rows;
+    m.numRows = numRows(smt);
     m.numConfigs = factories_.size();
     m.results.resize(m.numRows * m.numConfigs);
 
@@ -743,9 +731,9 @@ Experiment::runCells(size_t rows, bool smt)
     };
 
     ShardOptions shardOpts = opts_.shard();
-    std::string ckptRoot = opts_.checkpointDir;
+    std::string root = opts_.checkpointDir;
     std::string tempRoot;
-    if (shardOpts.active() && ckptRoot.empty()) {
+    if (shardOpts.active() && root.empty()) {
         if (shardOpts.shardId >= 0) {
             fatal("sharded worker mode (--shard-id / CONSTABLE_SHARD_ID) "
                   "needs --checkpoint-dir on a filesystem every worker "
@@ -755,31 +743,32 @@ Experiment::runCells(size_t rows, bool smt)
         // between processes as files, so use a private scratch directory
         // and discard it once the matrix is merged.
         tempRoot = makeTempDir("constable-shards");
-        ckptRoot = tempRoot;
+        root = tempRoot;
     }
 
-    std::string ckptDir;
     SweepManifest manifest;
-    size_t resumed = 0;
-    if (!ckptRoot.empty()) {
-        ckptDir = checkpointDirFor(ckptRoot, smt, manifest, rows);
-        makeDirs(ckptDir, "checkpoint");
+    std::string sweepDir;
+    if (!root.empty()) {
+        manifest = this->manifest(smt);
+        sweepDir = sweepDirPath(root, manifest);
+        makeDirs(sweepDir, "checkpoint");
+        makeDirs(cellStoreDir(root), "cell store");
     }
 
-    // Live progress: stderr one-liners plus a status.json next to the
-    // cell checkpoints (constable-sweep --status pretty-prints it from
-    // another process). Passive state only, so forked shard workers
-    // inherit it and keep reporting.
+    // Live progress: stderr one-liners plus a status.json in the sweep's
+    // directory (constable-sweep --status pretty-prints it from another
+    // process). Passive state only, so forked shard workers inherit it and
+    // keep reporting.
     ObsProgressConfig pcfg;
     pcfg.label = name_;
     pcfg.total = m.results.size();
-    pcfg.statusPath = ckptDir.empty() ? "" : ckptDir + "/status.json";
+    pcfg.statusPath = sweepDir.empty() ? "" : sweepDir + "/status.json";
     pcfg.intervalSec = opts_.progressSec;
     obsProgressBegin(pcfg);
 
     if (shardOpts.active()) {
         ShardOutcome oc =
-            runShardedCells(ckptDir, manifest, computeCell, m.results,
+            runShardedCells(root, manifest, computeCell, m.results,
                             shardOpts);
         // The workers did the computing; credit the merged matrix's ops
         // so the coordinator's closing report carries a real Mops/s.
@@ -787,54 +776,64 @@ Experiment::runCells(size_t rows, bool smt)
         for (const RunResult& r : m.results)
             mergedOps += r.instructions;
         obsProgressNoteOps(mergedOps);
-        obsProgressEnd();
         // The final merge loads every cell, so oc.loaded always spans the
-        // matrix; only cells that predated this run count as resumed.
-        resumed = oc.preExisting;
+        // matrix; only cells that predated this run count as reused.
+        obsProgressNoteReused(oc.preExisting);
+        obsProgressUpdate(m.results.size());
+        obsProgressEnd();
         if (!tempRoot.empty()) {
             std::error_code ec;
             std::filesystem::remove_all(tempRoot, ec);
         }
-        return ExperimentResult(*suite_, names_, std::move(m), resumed);
+        return ExperimentResult(*suite_, names_, std::move(m),
+                                oc.preExisting);
     }
 
+    // Cells served without simulating: loaded from the store, or equal in
+    // key to an earlier cell of this sweep (copied once that one is done).
     std::vector<uint8_t> done(m.results.size(), 0);
-    if (!ckptDir.empty()) {
-        writeOrVerifyManifest(ckptDir, manifest);
-        // A cell file that exists but fails to load — truncated, corrupt,
-        // or empty (0 bytes: a writer died before its first byte) — is
-        // regenerated exactly like a missing one, just counted and
-        // reported so operators notice a sick disk.
-        size_t corruptResume = 0;
+    std::vector<std::pair<size_t, size_t>> duplicates; // (cell, first)
+    if (!root.empty()) {
+        writeOrVerifyManifest(sweepDir, manifest);
+        std::unordered_map<uint64_t, size_t> firstWithKey;
         for (size_t cell = 0; cell < m.results.size(); ++cell) {
-            std::string path = cellFilePath(ckptDir, manifest, cell);
-            if (loadRunResult(path, m.results[cell])) {
+            auto [it, first] =
+                firstWithKey.emplace(manifest.cellKeys[cell], cell);
+            if (!first) {
+                duplicates.emplace_back(cell, it->second);
                 done[cell] = 1;
-                ++resumed;
-                continue;
             }
-            std::error_code xec;
-            if (std::filesystem::exists(path, xec) && !xec)
-                ++corruptResume;
         }
-        if (corruptResume > 0) {
-            warn(std::to_string(corruptResume) +
-                 " checkpoint cell(s) present but unloadable (corrupt or "
-                 "empty); regenerating them");
-        }
+        obsProgressNoteReused(duplicates.size());
     }
-    obsProgressUpdate(resumed);
 
+    // Store lookups run in the cell's job, beside the simulation they
+    // replace. A cell file that exists but fails to load — truncated,
+    // corrupt, or empty (0 bytes: a writer died before its first byte) —
+    // is regenerated exactly like a missing one, just counted and reported
+    // so operators notice a sick disk.
+    std::vector<uint8_t> loaded(m.results.size(), 0);
+    std::vector<uint8_t> corrupt(m.results.size(), 0);
     forEachJob(m.results.size(), [&](size_t job, Rng&) {
         if (done[job])
             return;
+        if (!root.empty()) {
+            std::string path = cellFilePath(root, manifest, job);
+            if (loadRunResult(path, m.results[job])) {
+                loaded[job] = 1;
+                obsProgressNoteReused(1);
+                return;
+            }
+            std::error_code xec;
+            corrupt[job] = std::filesystem::exists(path, xec) && !xec;
+        }
         {
             ObsSpan span("cell.compute", "cell");
             m.results[job] = computeCell(job);
         }
-        if (!ckptDir.empty()) {
+        if (!root.empty()) {
             ObsSpan span("cell.checkpoint", "cell");
-            if (!saveRunResult(cellFilePath(ckptDir, manifest, job),
+            if (!saveRunResult(cellFilePath(root, manifest, job),
                                m.results[job])) {
                 warn("cannot write checkpoint cell " + std::to_string(job) +
                      "; the sweep continues but will not resume past it");
@@ -842,9 +841,28 @@ Experiment::runCells(size_t rows, bool smt)
         }
         obsProgressCellDone(m.results[job].instructions);
     }, opts_.batch());
+    for (auto [cell, first] : duplicates)
+        m.results[cell] = m.results[first];
     obsProgressEnd();
 
-    return ExperimentResult(*suite_, names_, std::move(m), resumed);
+    size_t reused = duplicates.size();
+    size_t corruptCells = 0;
+    for (size_t cell = 0; cell < m.results.size(); ++cell) {
+        reused += loaded[cell];
+        corruptCells += corrupt[cell];
+    }
+    if (corruptCells > 0) {
+        warn(std::to_string(corruptCells) +
+             " checkpoint cell(s) present but unloadable (corrupt or "
+             "empty); regenerated them");
+    }
+    if (!root.empty()) {
+        static ObsCounter& hits = obsCounter("ckpt.cell.hit");
+        static ObsCounter& misses = obsCounter("ckpt.cell.miss");
+        hits.add(reused);
+        misses.add(m.results.size() - reused);
+    }
+    return ExperimentResult(*suite_, names_, std::move(m), reused);
 }
 
 ExperimentResult
@@ -855,25 +873,24 @@ Experiment::merge(bool smt)
     if (opts_.checkpointDir.empty())
         fatal("experiment '" + name_ + "': merge() needs --checkpoint-dir");
 
-    size_t rows = smt ? suite_->smtTracePairs().size() : suite_->size();
-    SweepManifest manifest;
-    std::string ckptDir =
-        checkpointDirFor(opts_.checkpointDir, smt, manifest, rows);
+    SweepManifest manifest = this->manifest(smt);
+    std::string sweepDir = sweepDirPath(opts_.checkpointDir, manifest);
 
     SweepManifest onDisk;
-    if (!loadManifest(ckptDir + "/manifest.sweep", onDisk))
-        fatal("merge: no sweep manifest under '" + ckptDir +
+    if (!loadManifest(sweepDir + "/manifest.sweep", onDisk))
+        fatal("merge: no sweep manifest under '" + sweepDir +
               "' (was this sweep ever started?)");
     if (!(onDisk == manifest))
-        fatal("merge: checkpoint directory '" + ckptDir +
+        fatal("merge: sweep directory '" + sweepDir +
               "' holds a different sweep than '" + name_ + "'");
 
     MatrixResult m;
-    m.numRows = rows;
-    m.numConfigs = factories_.size();
+    m.numRows = manifest.numRows;
+    m.numConfigs = manifest.numConfigs;
     ShardOutcome oc;
-    if (!mergeShardedCells(ckptDir, manifest, /*compute=*/nullptr,
-                           m.results, opts_.shard(), oc)) {
+    if (!mergeShardedCells(opts_.checkpointDir, manifest,
+                           /*compute=*/nullptr, m.results, opts_.shard(),
+                           oc)) {
         fatal("merge: sweep '" + name_ + "' is incomplete (" +
               std::to_string(oc.loaded) + " of " +
               std::to_string(manifest.numCells()) +

@@ -14,10 +14,12 @@
  *    keyed by a hash of the full spec.
  *
  *  - Experiment: a facade over runMatrix()/runSmtMatrix() with *named*
- *    configurations, optional per-cell RunResult checkpointing (an
- *    interrupted sweep resumes from completed cells, bit-identical to an
- *    uninterrupted run), and the paper's category geomean / mean /
- *    box-whisker reporters as methods on the result.
+ *    configurations, an optional content-addressed cell store under the
+ *    checkpoint directory (an interrupted sweep resumes from completed
+ *    cells, and a cell another experiment already committed is loaded
+ *    instead of simulated; both bit-identical to a fresh run), and the
+ *    paper's category geomean / mean / box-whisker reporters as methods
+ *    on the result.
  */
 
 #ifndef CONSTABLE_SIM_EXPERIMENT_HH
@@ -52,7 +54,8 @@ struct ExperimentOptions
     size_t suiteLimit = SIZE_MAX;
     /** Trace-cache directory; empty disables the on-disk cache. */
     std::string traceDir;
-    /** Per-cell checkpoint directory; empty disables checkpointing. */
+    /** Checkpoint root holding the content-addressed cell store; empty
+     *  disables checkpointing. Every experiment may share one root. */
     std::string checkpointDir;
     /** Trace-cache size cap in MB; 0 (default) disables size trimming.
      *  Applied to traceDir after suite preparation (LRU by mtime). */
@@ -94,9 +97,9 @@ struct ExperimentOptions
     unsigned progressSec = 10;
     /** Phase-sampled simulation (--sample=phases:N,window:K /
      *  CONSTABLE_SAMPLE): when enabled, single-trace sweep cells run
-     *  through runSampledTrace() instead of full fidelity, and checkpoint
-     *  cells are keyed by the sample spec so sampled and full sweeps never
-     *  share cells. SMT-pair sweeps reject sampling (fatal). */
+     *  through runSampledTrace() instead of full fidelity; the sample spec
+     *  and seed enter the cell key, so sampled and full sweeps never share
+     *  cells. SMT-pair sweeps reject sampling (fatal). */
     SampleOptions sample;
 
     /** All knobs from CONSTABLE_* env vars (strict: malformed -> fatal).
@@ -177,8 +180,9 @@ class Suite
     size_t cacheHits() const { return cacheHits_; }
     size_t cacheMisses() const { return cacheMisses_; }
 
-    /** Content fingerprint over all specs (checkpoint keying). */
-    uint64_t contentHash() const;
+    /** Cell-store key of row i: the spec hash of a generated trace, or
+     *  the trace-content hash of a hand-built (fromTraces) one. */
+    uint64_t rowKey(size_t i) const { return entries_[i].key; }
 
     // ---- category reporters (shared by the paper's figure benches) ----
 
@@ -205,8 +209,7 @@ class Suite
         LoadInspectorResult inspection;
         std::unordered_set<PC> gs;
         bool fromCache = false;
-        /** Checkpoint-keying hash: the spec hash for generated entries, a
-         *  trace-content hash for hand-built (fromTraces) ones. */
+        /** Cell-store row key (rowKey()). */
         uint64_t key = 0;
     };
 
@@ -257,7 +260,10 @@ class ExperimentResult
     /** Determinism fingerprint (sum of every cell's cycles). */
     uint64_t totalCycles() const { return m_.totalCycles(); }
 
-    /** Cells restored from a checkpoint instead of simulated. */
+    /** Cells served from the cell store instead of simulated: resumed
+     *  cells, cells another experiment committed, and duplicates of a cell
+     *  earlier in this sweep. Sharded runs count the cells already stored
+     *  when they started. */
     size_t resumedCells() const { return resumedCells_; }
 
     // Reporters, delegating to the suite's category grouping.
@@ -281,12 +287,15 @@ class ExperimentResult
 /**
  * A named {suite x configurations} sweep. Configurations are added under
  * unique names; run() executes the full matrix on the batch pool, and when
- * opts.checkpointDir is set every finished cell is persisted so a killed
- * sweep resumes from completed cells on the next invocation.
+ * opts.checkpointDir is set every cell goes through the content-addressed
+ * cell store under it (sim/cell_key.hh): a stored cell is loaded instead
+ * of simulated, and every newly simulated cell is committed, so a killed
+ * sweep resumes from completed cells and later experiments reuse them.
  *
- * Checkpoints are keyed by (experiment name, suite content, config names):
- * changing a configuration's *parameters* without renaming it requires
- * clearing the checkpoint directory.
+ * Cells are keyed by what they simulate (row, full SystemConfig, inspection,
+ * sampling, model version), never by experiment or config names: renaming
+ * a column keeps its cells, and changing a column's parameters under an
+ * unchanged name simulates fresh cells. One root may serve every bench.
  */
 class Experiment
 {
@@ -301,8 +310,7 @@ class Experiment
     Experiment& add(const std::string& config_name, ConfigFactory factory);
 
     /**
-     * Column from a MechanismRegistry preset; the registry name is the
-     * config name, so checkpoint/cell keys derive from registry names.
+     * Column from a MechanismRegistry preset under its registry name.
      * Oracle (perRow) presets become per-row factories over the suite's
      * global-stable PC sets and require an inspected suite.
      */
@@ -323,21 +331,21 @@ class Experiment
     ExperimentResult runSmt();
 
     /**
-     * Assemble the result matrix purely from the checkpoint directory
-     * (e.g. after a fleet of workers on other machines finished), without
-     * simulating anything; fatal() if the sweep's manifest is absent or
-     * any cell is missing/corrupt. Requires opts.checkpointDir.
+     * Assemble the result matrix purely from the cell store (e.g. after a
+     * fleet of workers on other machines finished), without simulating
+     * anything; fatal() if the sweep's manifest is absent or any cell is
+     * missing/corrupt. Requires opts.checkpointDir.
      */
     ExperimentResult merge(bool smt = false);
 
-    /** Keyed per-sweep checkpoint subdirectory + its manifest. Public so
-     *  harnesses (constable-faultsweep) can pre-seed the directory — e.g.
-     *  plant a stale foreign lease — before run() ever sees it. */
-    std::string checkpointDirFor(const std::string& root, bool smt,
-                                 SweepManifest& manifest, size_t rows) const;
+    /** The sweep's manifest: shape, names and every cell's store key.
+     *  Public so harnesses (constable-faultsweep) can pre-seed the store —
+     *  e.g. plant a stale foreign lease — before run() ever sees it. */
+    SweepManifest manifest(bool smt) const;
 
   private:
-    ExperimentResult runCells(size_t rows, bool smt);
+    ExperimentResult runCells(bool smt);
+    size_t numRows(bool smt) const;
 
     std::string name_;
     const Suite* suite_;

@@ -14,8 +14,8 @@
  *
  * Sampled results never reach the full-fidelity golden-snapshot surface:
  * a full run's RunResult carries no "sample.*" keys and its serialized
- * bytes are unchanged, and sampled sweeps checkpoint under a different
- * cell key (Experiment::checkpointDirFor folds the sample spec in).
+ * bytes are unchanged, and sampled cells are stored under a different
+ * key (sim/cell_key.hh folds the sample spec and seed in).
  */
 
 #ifndef CONSTABLE_SIM_SAMPLE_HH

@@ -191,14 +191,14 @@ parsePerfPresets(const std::string& json)
  * information than any static prior. Empty when no sidecar is readable.
  */
 std::vector<double>
-observedConfigCosts(const std::string& dir, const SweepManifest& m)
+observedConfigCosts(const std::string& root, const SweepManifest& m)
 {
     std::vector<double> sum(m.numConfigs, 0.0);
     std::vector<size_t> cnt(m.numConfigs, 0);
     size_t seen = 0;
     for (size_t c = 0; c < m.numCells(); ++c) {
         std::string text;
-        if (!readFileText(cellFilePath(dir, m, c) + ".cost", text))
+        if (!readFileText(cellFilePath(root, m, c) + ".cost", text))
             continue;
         double sec = std::strtod(text.c_str(), nullptr);
         if (!(sec > 0.0))
@@ -241,7 +241,7 @@ observedConfigCosts(const std::string& dir, const SweepManifest& m)
  * affects results (cells are deterministic); only wall-clock.
  */
 std::vector<size_t>
-buildClaimOrder(const std::string& dir, const SweepManifest& m,
+buildClaimOrder(const std::string& root, const SweepManifest& m,
                 const ShardOptions& opts)
 {
     const size_t n = m.numCells();
@@ -249,7 +249,7 @@ buildClaimOrder(const std::string& dir, const SweepManifest& m,
     for (size_t i = 0; i < n; ++i)
         order[i] = i;
 
-    std::vector<double> observed = observedConfigCosts(dir, m);
+    std::vector<double> observed = observedConfigCosts(root, m);
     if (!observed.empty()) {
         std::stable_sort(order.begin(), order.end(),
                          [&](size_t a, size_t b) {
@@ -309,7 +309,7 @@ buildClaimOrder(const std::string& dir, const SweepManifest& m,
 /** Mutable per-process view of the claim loop. */
 struct WorkerCtx
 {
-    const std::string& dir;
+    const std::string& root;
     const SweepManifest& m;
     const CellFn& compute;
     ShardOptions opts;
@@ -342,11 +342,11 @@ workerPass(WorkerCtx& ctx)
             size_t c = ctx.claimOrder[i];
             if (ctx.done[c])
                 continue;
-            if (fileExists(cellFilePath(ctx.dir, ctx.m, c))) {
+            if (fileExists(cellFilePath(ctx.root, ctx.m, c))) {
                 ctx.done[c] = 1;
                 continue;
             }
-            std::string lp = cellLeasePath(ctx.dir, ctx.m, c);
+            std::string lp = cellLeasePath(ctx.root, ctx.m, c);
             if (tryAcquireLease(lp, lease)) {
                 // A successful O_CREAT|O_EXCL claim implies nobody
                 // committed the cell between our existence probe and
@@ -356,7 +356,7 @@ workerPass(WorkerCtx& ctx)
                 CONSTABLE_ASSERT(!ctx.done[c],
                                  "claimed a cell already marked done in "
                                  "this process: claim loop state diverged");
-                if (fileExists(cellFilePath(ctx.dir, ctx.m, c))) {
+                if (fileExists(cellFilePath(ctx.root, ctx.m, c))) {
                     removeLease(lp);
                     ctx.done[c] = 1;
                     continue;
@@ -390,7 +390,7 @@ workerPass(WorkerCtx& ctx)
     std::vector<uint8_t> abandoned(claimed.size(), 0);
     forEachJob(claimed.size(), [&](size_t i, Rng&) {
         size_t c = claimed[i];
-        std::string lp = cellLeasePath(ctx.dir, ctx.m, c);
+        std::string lp = cellLeasePath(ctx.root, ctx.m, c);
         // The claim may have queued behind other jobs: refresh the lease
         // mtime so its TTL measures compute time, not queue time. Same
         // fault point as the background refresh — a lost refresh here just
@@ -434,11 +434,11 @@ workerPass(WorkerCtx& ctx)
             }
             ObsSpan span("cell.commit", "cell");
             if (!retryWithBackoff("ckpt.cell.commit", [&] {
-                    return saveRunResult(cellFilePath(ctx.dir, ctx.m, c), r,
+                    return saveRunResult(cellFilePath(ctx.root, ctx.m, c), r,
                                          /*durable=*/true);
                 })) {
                 fatal("shard worker cannot write cell checkpoint in '" +
-                      ctx.dir + "'");
+                      cellStoreDir(ctx.root) + "'");
             }
             // Advisory wall-clock sidecar: later claim passes (and
             // resumed sweeps) order by observed per-config cost instead
@@ -447,19 +447,21 @@ workerPass(WorkerCtx& ctx)
             char costBuf[32];
             int costLen = std::snprintf(costBuf, sizeof(costBuf), "%.6f\n",
                                         computeSec);
-            writeFileAtomic(cellFilePath(ctx.dir, ctx.m, c) + ".cost",
+            writeFileAtomic(cellFilePath(ctx.root, ctx.m, c) + ".cost",
                             std::vector<uint8_t>(costBuf,
                                                  costBuf + costLen));
         }
         // Commit precedes release: between saveRunResult's rename and
         // removeLease, observers see both the cell file and the lease,
         // which the claim scan tolerates (file check comes first).
-        CONSTABLE_ASSERT(fileExists(cellFilePath(ctx.dir, ctx.m, c)),
+        CONSTABLE_ASSERT(fileExists(cellFilePath(ctx.root, ctx.m, c)),
                          "lease released before the cell checkpoint became "
                          "visible: commit/release order inverted");
         removeLease(lp);
         ctx.done[c] = 1;
         committed[i] = 1;
+        static ObsCounter& misses = obsCounter("ckpt.cell.miss");
+        misses.add();
         obsProgressCellDone(cellOps);
     }, ctx.opts.batch);
     size_t ran = 0;
@@ -481,7 +483,7 @@ workerLoop(WorkerCtx& ctx)
         size_t ran = workerPass(ctx);
         size_t doneCells = 0;
         for (size_t c = 0; c < n; ++c) {
-            if (ctx.done[c] || fileExists(cellFilePath(ctx.dir, ctx.m, c)))
+            if (ctx.done[c] || fileExists(cellFilePath(ctx.root, ctx.m, c)))
                 ++doneCells;
         }
         // Fleet-wide progress: count *everyone's* committed cells, not
@@ -501,10 +503,13 @@ workerLoop(WorkerCtx& ctx)
  *  inherited the coordinator's thread pool, whose worker threads do not
  *  exist after fork(). */
 void
-forkWorkers(const std::string& dir, const SweepManifest& m,
+forkWorkers(const std::string& root, const SweepManifest& m,
             const CellFn& compute, const ShardOptions& opts,
             ShardOutcome& outcome)
 {
+    // Obs partials go to the sweep's own directory: concurrent sweeps of
+    // other experiments may share the root.
+    const std::string partialDir = sweepDirPath(root, m);
     std::vector<pid_t> pids;
     for (unsigned k = 0; k < opts.shards; ++k) {
         pid_t pid = ::fork();
@@ -517,15 +522,15 @@ forkWorkers(const std::string& dir, const SweepManifest& m,
             ShardOptions w = opts;
             w.shardId = static_cast<int>(k);
             w.batch.threads = 1; // never touch the inherited pool
-            WorkerCtx ctx { dir, m, compute, w, {}, {}, {} };
+            WorkerCtx ctx { root, m, compute, w, {}, {}, {} };
             ctx.done.assign(m.numCells(), 0);
-            ctx.claimOrder = buildClaimOrder(dir, m, w);
+            ctx.claimOrder = buildClaimOrder(root, m, w);
             workerLoop(ctx);
             // _exit() skips the atexit trace/metrics writers on purpose
             // (they belong to the coordinator); hand the child's obs state
             // back through a partial file instead, lane-tagged by shard.
             if (obsArmed()) {
-                obsSavePartial(dir + "/obs-shard-" + std::to_string(k) +
+                obsSavePartial(partialDir + "/obs-shard-" + std::to_string(k) +
                                    ".partial",
                                "shard-" + std::to_string(k));
             }
@@ -547,7 +552,7 @@ forkWorkers(const std::string& dir, const SweepManifest& m,
     if (obsArmed()) {
         for (unsigned k = 0; k < opts.shards; ++k) {
             std::string p =
-                dir + "/obs-shard-" + std::to_string(k) + ".partial";
+                partialDir + "/obs-shard-" + std::to_string(k) + ".partial";
             if (!fileExists(p))
                 continue; // worker died before saving: cells recover, obs
                           // from that shard is simply absent
@@ -563,18 +568,31 @@ forkWorkers(const std::string& dir, const SweepManifest& m,
 } // namespace
 
 std::string
-cellFilePath(const std::string& dir, const SweepManifest& m, size_t cell)
+cellStoreDir(const std::string& root)
 {
-    size_t row = cell / m.numConfigs;
-    size_t cfg = cell % m.numConfigs;
-    return dir + "/cell-" + std::to_string(row) + "-" +
-           std::to_string(cfg) + ".rr";
+    return root + "/cells";
 }
 
 std::string
-cellLeasePath(const std::string& dir, const SweepManifest& m, size_t cell)
+sweepDirPath(const std::string& root, const SweepManifest& m)
 {
-    return cellFilePath(dir, m, cell) + ".lease";
+    return root + "/" + sanitizeFileName(m.experiment) + "-" +
+           hex16(m.identity());
+}
+
+std::string
+cellFilePath(const std::string& root, const SweepManifest& m, size_t cell)
+{
+    CONSTABLE_ASSERT(m.cellKeys.size() == m.numCells() &&
+                         cell < m.cellKeys.size(),
+                     "sweep manifest lacks a store key for this cell");
+    return cellStoreDir(root) + "/" + hex16(m.cellKeys[cell]) + ".rr";
+}
+
+std::string
+cellLeasePath(const std::string& root, const SweepManifest& m, size_t cell)
+{
+    return cellFilePath(root, m, cell) + ".lease";
 }
 
 void
@@ -598,16 +616,16 @@ writeOrVerifyManifest(const std::string& dir, const SweepManifest& m)
             fatal("cannot write and re-read sweep manifest '" + path + "'");
     }
     if (!(existing == m)) {
-        fatal("checkpoint directory '" + dir + "' belongs to sweep '" +
+        fatal("sweep directory '" + dir + "' belongs to sweep '" +
               existing.experiment + "' (" + std::to_string(existing.numRows) +
               "x" + std::to_string(existing.numConfigs) +
               "), not to this sweep '" + m.experiment +
-              "'; use a distinct --checkpoint-dir per sweep");
+              "'; the manifest is foreign or damaged, remove the directory");
     }
 }
 
 bool
-mergeShardedCells(const std::string& dir, const SweepManifest& m,
+mergeShardedCells(const std::string& root, const SweepManifest& m,
                   const CellFn* compute, std::vector<RunResult>& out,
                   const ShardOptions& opts, ShardOutcome& outcome)
 {
@@ -615,14 +633,14 @@ mergeShardedCells(const std::string& dir, const SweepManifest& m,
     out.resize(n);
     bool complete = true;
     for (size_t c = 0; c < n; ++c) {
-        if (loadRunResult(cellFilePath(dir, m, c), out[c])) {
+        if (loadRunResult(cellFilePath(root, m, c), out[c])) {
             ++outcome.loaded;
             continue;
         }
         // Missing, or present but failing its FNV checksum (a worker died
         // after rename was scheduled but before the data hit disk, or the
         // file was mangled): regenerate rather than aborting the merge.
-        std::string path = cellFilePath(dir, m, c);
+        std::string path = cellFilePath(root, m, c);
         if (fileExists(path)) {
             ++outcome.corruptCells;
             static ObsCounter& corrupt = obsCounter("shard.corrupt_cells");
@@ -645,22 +663,19 @@ mergeShardedCells(const std::string& dir, const SweepManifest& m,
                            loadRunResult(path, check);
             }
             if (!verified) {
-                std::string qdir = dir + "/quarantine";
                 std::error_code qec;
-                fs::create_directories(qdir, qec);
-                fs::rename(path,
-                           qdir + "/cell-" + std::to_string(c / m.numConfigs) +
-                               "-" + std::to_string(c % m.numConfigs) + ".rr",
-                           qec);
+                fs::rename(path, path + ".quarantined", qec);
                 ++outcome.quarantined;
                 static ObsCounter& quarantined =
                     obsCounter("shard.quarantined");
                 quarantined.add();
                 warn("cell checkpoint '" + path + "' failed verification " +
                      std::to_string(opts.quarantineAfter) +
-                     " times; quarantined into '" + qdir + "'");
+                     " times; quarantined as '" + path + ".quarantined'");
             }
-            removeLease(cellLeasePath(dir, m, c));
+            static ObsCounter& misses = obsCounter("ckpt.cell.miss");
+            misses.add();
+            removeLease(cellLeasePath(root, m, c));
             ++outcome.computed;
         } else {
             complete = false;
@@ -669,7 +684,7 @@ mergeShardedCells(const std::string& dir, const SweepManifest& m,
     // Orphaned tmp files (a writer SIGKILLed mid-write) are invisible to
     // the commit protocol but accumulate; sweep old ones here.
     std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    for (const auto& entry : fs::directory_iterator(cellStoreDir(root), ec)) {
         if (ec)
             break;
         std::string name = entry.path().filename().string();
@@ -686,12 +701,20 @@ mergeShardedCells(const std::string& dir, const SweepManifest& m,
 }
 
 ShardOutcome
-runShardedCells(const std::string& dir, const SweepManifest& m,
+runShardedCells(const std::string& root, const SweepManifest& m,
                 const CellFn& compute, std::vector<RunResult>& out,
                 const ShardOptions& opts)
 {
     ShardOutcome outcome;
-    writeOrVerifyManifest(dir, m);
+    const std::string sweepDir = sweepDirPath(root, m);
+    for (const std::string& d : { sweepDir, cellStoreDir(root) }) {
+        std::error_code ec;
+        fs::create_directories(d, ec);
+        if (ec)
+            fatal("checkpoint directory '" + d +
+                  "' cannot be created: " + ec.message());
+    }
+    writeOrVerifyManifest(sweepDir, m);
     if (m.numCells() == 0) {
         out.clear();
         return outcome;
@@ -699,35 +722,37 @@ runShardedCells(const std::string& dir, const SweepManifest& m,
     // Resumed-work accounting must be taken before any worker runs: after
     // the sweep every cell has a file, so a post-hoc count says nothing.
     for (size_t c = 0; c < m.numCells(); ++c) {
-        if (fileExists(cellFilePath(dir, m, c)))
+        if (fileExists(cellFilePath(root, m, c)))
             ++outcome.preExisting;
     }
+    static ObsCounter& hits = obsCounter("ckpt.cell.hit");
+    hits.add(outcome.preExisting);
 
     if (opts.shardId >= 0) {
         // Worker mode: independently launched process of a fleet sharing
         // this directory. Claim until the matrix is complete, then merge
         // so every shard returns the same full result.
-        WorkerCtx ctx { dir, m, compute, opts, outcome, {}, {} };
+        WorkerCtx ctx { root, m, compute, opts, outcome, {}, {} };
         ctx.done.assign(m.numCells(), 0);
-        ctx.claimOrder = buildClaimOrder(dir, m, opts);
+        ctx.claimOrder = buildClaimOrder(root, m, opts);
         workerLoop(ctx);
         outcome = ctx.outcome;
-        mergeShardedCells(dir, m, &compute, out, opts, outcome);
+        mergeShardedCells(root, m, &compute, out, opts, outcome);
         return outcome;
     }
 
 #ifdef CONSTABLE_HAVE_FORK
     // Coordinator mode: fork the fleet, reap it, assemble the matrix.
-    forkWorkers(dir, m, compute, opts, outcome);
+    forkWorkers(root, m, compute, opts, outcome);
 #else
     // No fork(): compute everything here, still via the lease protocol.
-    WorkerCtx ctx { dir, m, compute, opts, outcome, {}, {} };
+    WorkerCtx ctx { root, m, compute, opts, outcome, {}, {} };
     ctx.done.assign(m.numCells(), 0);
-    ctx.claimOrder = buildClaimOrder(dir, m, opts);
+    ctx.claimOrder = buildClaimOrder(root, m, opts);
     workerLoop(ctx);
     outcome = ctx.outcome;
 #endif
-    mergeShardedCells(dir, m, &compute, out, opts, outcome);
+    mergeShardedCells(root, m, &compute, out, opts, outcome);
     return outcome;
 }
 

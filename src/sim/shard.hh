@@ -25,10 +25,13 @@
  *    filesystem: each claims cells until the matrix is done, then merges,
  *    so every shard returns the same full result.
  *
- *  - A manifest record written once into the directory pins the sweep's
- *    identity (experiment, suite hash, grid shape, config names); a
- *    process whose sweep disagrees fails fast instead of interleaving
- *    incompatible cells.
+ *  - Cells live in the checkpoint root's content-addressed store,
+ *    <root>/cells/<hex16 key>.rr, keyed by what they simulate
+ *    (sim/cell_key.hh), so sweeps of different experiments share every
+ *    cell they have in common. A manifest written once into the sweep's
+ *    own directory (<root>/<experiment>-<hex16 identity>/) resolves cell
+ *    indices to store keys and pins the sweep's identity; a process whose
+ *    sweep disagrees fails fast instead of interleaving foreign cells.
  */
 
 #ifndef CONSTABLE_SIM_SHARD_HH
@@ -61,8 +64,9 @@ struct ShardOptions
     /** Poll interval while waiting on cells other workers hold. */
     unsigned pollMs = 100;
     /** A cell whose regenerated checkpoint still fails verification after
-     *  this many save/reload attempts is quarantined (moved into
-     *  <dir>/quarantine/) instead of being rewritten forever. */
+     *  this many save/reload attempts is quarantined (renamed to
+     *  <cell>.rr.quarantined beside it) instead of being rewritten
+     *  forever. */
     unsigned quarantineAfter = 3;
     /** Optional cost model (a prior BENCH_perf.json): cells of presets
      *  with lower recorded Mops/s are claimed first, shrinking the tail
@@ -95,7 +99,7 @@ struct ShardOutcome
      *  checksum (torn write / mangled file); each is regenerated. */
     size_t corruptCells = 0;
     /** Cells whose regenerated checkpoint kept failing verification and
-     *  were moved into <dir>/quarantine/ (in-memory result still used). */
+     *  were quarantined beside the store (in-memory result still used). */
     size_t quarantined = 0;
     /** Cells this worker computed but did not commit because its lease
      *  was lost (reclaimed by another worker) before the commit. */
@@ -109,13 +113,21 @@ struct ShardOutcome
  *  (same index -> bit-identical RunResult in every process). */
 using CellFn = std::function<RunResult(size_t cell)>;
 
-/** Checkpoint file of one cell: <dir>/cell-<row>-<cfg>.rr (the same layout
- *  single-process checkpoint/resume uses, so the two tiers interoperate). */
-std::string cellFilePath(const std::string& dir, const SweepManifest& m,
+/** The content-addressed cell store under a checkpoint root. */
+std::string cellStoreDir(const std::string& root);
+
+/** The sweep's own directory under a checkpoint root (manifest,
+ *  status.json, shard obs partials): <root>/<experiment>-<hex16 identity>. */
+std::string sweepDirPath(const std::string& root, const SweepManifest& m);
+
+/** Stored result of one cell, resolved through the manifest:
+ *  <root>/cells/<hex16 m.cellKeys[cell]>.rr. Cells with equal keys share
+ *  one file, in this sweep and in every other sweep of the root. */
+std::string cellFilePath(const std::string& root, const SweepManifest& m,
                          size_t cell);
 
 /** Lease file guarding a cell's claim: <cell path>.lease. */
-std::string cellLeasePath(const std::string& dir, const SweepManifest& m,
+std::string cellLeasePath(const std::string& root, const SweepManifest& m,
                           size_t cell);
 
 /**
@@ -127,24 +139,25 @@ std::string cellLeasePath(const std::string& dir, const SweepManifest& m,
 void writeOrVerifyManifest(const std::string& dir, const SweepManifest& m);
 
 /**
- * Execute all cells of `m` cooperatively and fill `out` (resized to
- * m.numCells()) with the complete merged matrix. Dispatches on opts:
- * coordinator mode forks workers and merges; worker mode claims cells and
- * merges when the matrix is complete. `dir` must exist.
+ * Execute all cells of `m` cooperatively over the store under `root` and
+ * fill `out` (resized to m.numCells()) with the complete merged matrix.
+ * Writes (or verifies) the manifest into sweepDirPath(root, m) first.
+ * Dispatches on opts: coordinator mode forks workers and merges; worker
+ * mode claims cells and merges when the matrix is complete.
  */
-ShardOutcome runShardedCells(const std::string& dir, const SweepManifest& m,
+ShardOutcome runShardedCells(const std::string& root, const SweepManifest& m,
                              const CellFn& compute,
                              std::vector<RunResult>& out,
                              const ShardOptions& opts);
 
 /**
- * Merge-only entry: load every cell of `m` from `dir` into `out`.
- * Missing or corrupt cells are recomputed via `compute` when provided,
- * otherwise reported by returning false (out is left partially filled;
- * absent cells are default RunResults). Also sweeps orphaned *.tmp.*
- * files older than opts.leaseTtlSec.
+ * Merge-only entry: load every cell of `m` from the store under `root`
+ * into `out`. Missing or corrupt cells are recomputed via `compute` when
+ * provided, otherwise reported by returning false (out is left partially
+ * filled; absent cells are default RunResults). Also sweeps orphaned
+ * *.tmp.* files older than opts.leaseTtlSec out of the store.
  */
-bool mergeShardedCells(const std::string& dir, const SweepManifest& m,
+bool mergeShardedCells(const std::string& root, const SweepManifest& m,
                        const CellFn* compute, std::vector<RunResult>& out,
                        const ShardOptions& opts, ShardOutcome& outcome);
 

@@ -35,6 +35,11 @@ constexpr uint32_t kResultMagic = 0x43525253;   // "CRRS"
 constexpr uint32_t kManifestMagic = 0x464d5343; // "CSMF"
 constexpr uint32_t kLeaseMagic = 0x534c5343;    // "CSLS"
 
+/** Manifest encoding version, independent of kSerializeVersion so a
+ *  manifest change never invalidates trace-cache entries. 2: per-cell
+ *  store keys replaced the single suite hash. */
+constexpr uint32_t kManifestVersion = 2;
+
 /** Little-endian append-only encoder. */
 class ByteWriter
 {
@@ -354,6 +359,15 @@ fnv1a(const std::string& s)
 }
 
 std::string
+hex16(uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+std::string
 sanitizeFileName(std::string name)
 {
     for (char& c : name) {
@@ -563,15 +577,17 @@ serializeManifest(const SweepManifest& m)
 {
     ByteWriter w;
     w.u32(kManifestMagic);
-    w.u32(kSerializeVersion);
+    w.u32(kManifestVersion);
     w.str(m.experiment);
-    w.u64(m.suiteHash);
     w.u8(m.smt ? 1 : 0);
     w.u64(m.numRows);
     w.u64(m.numConfigs);
     w.u64(m.configNames.size());
     for (const std::string& n : m.configNames)
         w.str(n);
+    w.u64(m.cellKeys.size());
+    for (uint64_t k : m.cellKeys)
+        w.u64(k);
     w.sealChecksum();
     return w.take();
 }
@@ -585,13 +601,13 @@ deserializeManifest(const std::vector<uint8_t>& bytes, SweepManifest& out)
     ByteReader r(bytes.data(), payload);
     uint32_t magic, version;
     if (!r.u32(magic) || magic != kManifestMagic || !r.u32(version) ||
-        version != kSerializeVersion)
+        version != kManifestVersion)
         return false;
     SweepManifest m;
     uint8_t smt;
     uint64_t nNames;
-    if (!r.str(m.experiment) || !r.u64(m.suiteHash) || !r.u8(smt) ||
-        !r.u64(m.numRows) || !r.u64(m.numConfigs) || !r.u64(nNames) ||
+    if (!r.str(m.experiment) || !r.u8(smt) || !r.u64(m.numRows) ||
+        !r.u64(m.numConfigs) || !r.u64(nNames) ||
         nNames > r.remaining() / 4 + 1)
         return false;
     m.smt = smt != 0;
@@ -600,10 +616,25 @@ deserializeManifest(const std::vector<uint8_t>& bytes, SweepManifest& out)
         if (!r.str(n))
             return false;
     }
+    uint64_t nKeys;
+    if (!r.u64(nKeys) || nKeys != r.remaining() / 8)
+        return false;
+    m.cellKeys.resize(nKeys);
+    for (uint64_t& k : m.cellKeys) {
+        if (!r.u64(k))
+            return false;
+    }
     if (r.remaining() != 0)
         return false;
     out = std::move(m);
     return true;
+}
+
+uint64_t
+SweepManifest::identity() const
+{
+    auto bytes = serializeManifest(*this);
+    return fnv1a(bytes.data(), bytes.size());
 }
 
 bool
@@ -775,11 +806,8 @@ specHash(const WorkloadSpec& s)
 std::string
 traceCachePath(const std::string& dir, const WorkloadSpec& spec)
 {
-    std::string name = sanitizeFileName(spec.name);
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(specHash(spec)));
-    return dir + "/" + name + "-" + hex + ".trace";
+    return dir + "/" + sanitizeFileName(spec.name) + "-" +
+           hex16(specHash(spec)) + ".trace";
 }
 
 // ---------------------------------------------------------------- cache trim

@@ -89,22 +89,28 @@ bool loadRunResult(const std::string& path, RunResult& out);
 // ------------------------------------------------- multi-process sweep files
 
 /**
- * Identity of a sharded sweep, written once (atomically) into its
- * checkpoint directory as `manifest.sweep`. Every cooperating process
- * verifies it against its own sweep before claiming cells, so two
- * different experiments pointed at one directory fail fast instead of
- * silently interleaving incompatible cell files.
+ * Identity of one sweep over the content-addressed cell store, written
+ * once (atomically) as `manifest.sweep` into the sweep's own directory
+ * under the checkpoint root. It resolves the sweep's row-major cell
+ * indices to store keys (sim/shard.hh: cellFilePath), and every
+ * cooperating process verifies it against its own sweep before claiming
+ * cells. Experiment::merge() requires it, so assembling a sweep that
+ * never started fails loudly.
  */
 struct SweepManifest
 {
     std::string experiment;
-    uint64_t suiteHash = 0;
     bool smt = false;
     uint64_t numRows = 0;
     uint64_t numConfigs = 0;
     std::vector<std::string> configNames;
+    /** Content key of every cell, row-major (sim/cell_key.hh); cells with
+     *  equal keys are one stored result. */
+    std::vector<uint64_t> cellKeys;
 
     uint64_t numCells() const { return numRows * numConfigs; }
+    /** Hash over every field: names the sweep's directory. */
+    uint64_t identity() const;
     bool operator==(const SweepManifest&) const = default;
 };
 
@@ -155,6 +161,16 @@ uint64_t fnv1a(const uint8_t* data, size_t n);
 
 /** FNV-1a over a string (config names, etc.). */
 uint64_t fnv1a(const std::string& s);
+
+/** boost-style hash_combine over 64-bit values (key derivation). */
+inline uint64_t
+hashCombine(uint64_t h, uint64_t v)
+{
+    return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
+/** A key as 16 lowercase hex digits (cache and cell file names). */
+std::string hex16(uint64_t v);
 
 /** Replace filesystem-hostile characters with '_' (cache/checkpoint file
  *  and directory names). */

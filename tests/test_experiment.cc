@@ -4,12 +4,14 @@
  * (byte-stable round trips, corruption fallback), the CONSTABLE_TRACE_DIR
  * suite cache (warm-cache invocations skip generation and are bit-identical
  * to fresh ones), per-cell checkpoint/resume (a half-completed sweep
- * resumes to a bit-identical result), and strict option parsing from env
- * and CLI.
+ * resumes to a bit-identical result), the content-addressed cell store
+ * (cells are shared across experiments by what they simulate, never by
+ * name), and strict option parsing from env and CLI.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -18,6 +20,8 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/obs.hh"
+#include "sim/cell_key.hh"
 #include "sim/experiment.hh"
 #include "trace/serialize.hh"
 #include "workloads/suite.hh"
@@ -333,6 +337,16 @@ TEST_F(Checkpoint, ZeroByteAndGarbageCellsAreRegeneratedNotTrusted)
     EXPECT_EQ(warm.totalCycles(), ref.totalCycles());
 }
 
+/** Stored cells (*.rr) in a checkpoint root's cell store. */
+size_t
+storedCells(const std::string& root)
+{
+    size_t n = 0;
+    for (const auto& f : fs::directory_iterator(cellStoreDir(root)))
+        n += f.path().extension() == ".rr";
+    return n;
+}
+
 TEST_F(Checkpoint, SmtSweepCheckpointsSeparatelyFromNoSmt)
 {
     ExperimentOptions ck = serialOpts();
@@ -345,13 +359,184 @@ TEST_F(Checkpoint, SmtSweepCheckpointsSeparatelyFromNoSmt)
         return e;
     };
     auto plain = makeExp().run();
+    EXPECT_EQ(storedCells(dir), 2u); // 2 rows x 1 config
     auto smt = makeExp().runSmt();
     EXPECT_EQ(smt.resumedCells(), 0u); // distinct key: no cross-pollution
+    EXPECT_EQ(storedCells(dir), 3u);   // + 1 pair x 1 config, same store
     EXPECT_NE(plain.totalCycles(), smt.totalCycles());
 
     auto smtAgain = makeExp().runSmt();
     EXPECT_EQ(smtAgain.resumedCells(), 1u); // 1 pair x 1 config
     EXPECT_EQ(smtAgain.totalCycles(), smt.totalCycles());
+}
+
+// --------------------------------------------------------------- cell store
+
+class CellStore : public TempDirTest
+{
+  protected:
+    void TearDown() override
+    {
+        obsReset();
+        TempDirTest::TearDown();
+    }
+};
+
+/** Every cell of two results is byte-identical. */
+void
+expectSameCells(const ExperimentResult& a, const ExperimentResult& b)
+{
+    ASSERT_EQ(a.matrix().results.size(), b.matrix().results.size());
+    for (size_t c = 0; c < a.matrix().results.size(); ++c) {
+        EXPECT_EQ(serializeRunResult(a.matrix().results[c]),
+                  serializeRunResult(b.matrix().results[c]))
+            << "cell " << c;
+    }
+}
+
+/**
+ * The stale-name hazard: a column whose parameters change under an
+ * unchanged experiment and config name must miss the store and match a
+ * run with no checkpoint directory, never be served the old cells.
+ */
+TEST_F(CellStore, ParameterChangeUnderAnUnchangedNameMissesTheStore)
+{
+    ExperimentOptions opts = serialOpts();
+    ExperimentOptions ck = opts;
+    ck.checkpointDir = dir;
+    Suite suite = Suite::fromSpecs(twoSpecs(), opts);
+
+    auto run = [&](const ExperimentOptions& o, MechanismConfig mech,
+                   CoreConfig core) {
+        return Experiment("hazard", suite, o)
+            .add("constable", std::move(mech), core)
+            .run();
+    };
+    auto original = run(ck, mechFor("constable"), CoreConfig{});
+    EXPECT_EQ(original.resumedCells(), 0u);
+
+    CoreConfig narrow;
+    narrow.loadPorts = 1;
+    auto changedCore = run(ck, mechFor("constable"), narrow);
+    EXPECT_EQ(changedCore.resumedCells(), 0u);
+    EXPECT_NE(changedCore.totalCycles(), original.totalCycles());
+    expectSameCells(changedCore, run(opts, mechFor("constable"), narrow));
+
+    MechanismConfig eager = mechFor("constable");
+    eager.constable.sld.confThreshold = 2;
+    auto changedMech = run(ck, eager, CoreConfig{});
+    EXPECT_EQ(changedMech.resumedCells(), 0u);
+    expectSameCells(changedMech, run(opts, eager, CoreConfig{}));
+
+    // The unchanged column still resumes from its own cells.
+    auto again = run(ck, mechFor("constable"), CoreConfig{});
+    EXPECT_EQ(again.resumedCells(), 2u);
+    expectSameCells(again, original);
+}
+
+/**
+ * Identically configured columns under different experiment and config
+ * names are the same cells: the second experiment simulates nothing and
+ * is bit-identical to a fresh run.
+ */
+TEST_F(CellStore, IdenticalColumnsUnderOtherNamesShareCells)
+{
+    ExperimentOptions opts = serialOpts();
+    ExperimentOptions ck = opts;
+    ck.checkpointDir = dir;
+    Suite suite = Suite::fromSpecs(twoSpecs(), opts);
+
+    Experiment("first", suite, ck)
+        .addPreset("baseline")
+        .addPreset("constable")
+        .addPreset("ideal-constable")
+        .run();
+
+    obsArm();
+    ObsCounter& misses = obsCounter("ckpt.cell.miss");
+    ObsCounter& hits = obsCounter("ckpt.cell.hit");
+    uint64_t missesBefore = misses.value();
+    uint64_t hitsBefore = hits.value();
+    auto build = [&](const ExperimentOptions& o) {
+        Experiment e("second", suite, o);
+        e.add("base", mechFor("baseline"))
+            .add("elim", mechFor("constable"))
+            .addPreset("ideal-constable");
+        return e;
+    };
+    auto second = build(ck).run();
+    EXPECT_EQ(misses.value() - missesBefore, 0u); // simulated nothing
+    EXPECT_EQ(hits.value() - hitsBefore, 6u);
+    EXPECT_EQ(second.resumedCells(), second.matrix().results.size());
+    expectSameCells(second, build(opts).run());
+    EXPECT_EQ(storedCells(dir), 6u);
+}
+
+/** Two columns of one sweep with one configuration simulate once. */
+TEST_F(CellStore, DuplicateColumnsInOneSweepSimulateOnce)
+{
+    ExperimentOptions opts = serialOpts();
+    ExperimentOptions ck = opts;
+    ck.checkpointDir = dir;
+    Suite suite = Suite::fromSpecs(twoSpecs(), opts);
+    auto build = [&](const ExperimentOptions& o) {
+        Experiment e("dup", suite, o);
+        e.add("baseline", mechFor("baseline"))
+            .add("baseline-again", mechFor("baseline"));
+        return e;
+    };
+    auto res = build(ck).run();
+    EXPECT_EQ(res.resumedCells(), 2u); // one duplicate per row
+    EXPECT_EQ(storedCells(dir), 2u);
+    expectSameCells(res, build(opts).run());
+}
+
+/** Keys separate every input a cell's result depends on. */
+TEST_F(CellStore, KeysSeparateWhatTheCellsSimulate)
+{
+    ExperimentOptions opts = serialOpts();
+    Suite inspected = Suite::fromSpecs(twoSpecs(), opts);
+    Suite plain = Suite::fromSpecs(twoSpecs(), opts, /*inspect=*/false);
+    auto keys = [](const Suite& s, const ExperimentOptions& o, bool smt) {
+        Experiment e("keys", s, o);
+        e.add("baseline", mechFor("baseline"));
+        return e.manifest(smt).cellKeys;
+    };
+    auto disjoint = [](const std::vector<uint64_t>& a,
+                       const std::vector<uint64_t>& b) {
+        for (uint64_t k : a) {
+            if (std::find(b.begin(), b.end(), k) != b.end())
+                return false;
+        }
+        return true;
+    };
+    const auto base = keys(inspected, opts, false);
+    ASSERT_EQ(base.size(), 2u);
+    EXPECT_NE(base[0], base[1]);
+    EXPECT_EQ(base, keys(inspected, opts, false)); // deterministic
+
+    // SMT pairs vs single-thread rows; inspected vs uninspected suites.
+    EXPECT_TRUE(disjoint(base, keys(inspected, opts, true)));
+    EXPECT_TRUE(disjoint(base, keys(plain, opts, false)));
+
+    // Sampled cells (spec and seed) are separated by
+    // SampleCheckpoint.SampledAndFullCellsNeverCollide.
+
+    // Oracle presets key on their global-stable set, not its order.
+    std::unordered_set<PC> a = { 0x400, 0x404, 0x408 };
+    std::unordered_set<PC> b = { 0x400, 0x404, 0x40c };
+    std::unordered_set<PC> aReordered;
+    aReordered.reserve(64);
+    for (PC pc : { 0x408, 0x400, 0x404 })
+        aReordered.insert(pc);
+    auto oracle = [](const std::unordered_set<PC>& gs) {
+        return configHash({ CoreConfig{}, mechFor("ideal-constable", &gs) });
+    };
+    EXPECT_NE(oracle(a), oracle(b));
+    EXPECT_EQ(oracle(a), oracle(aReordered));
+
+    // An edited hand-built trace changes its row key
+    // (Suite.FromTracesSupportsHandBuiltWorkloads), and so its cells' keys.
 }
 
 // ----------------------------------------------------------- option parsing
@@ -498,14 +683,15 @@ TEST(Suite, FromTracesSupportsHandBuiltWorkloads)
     EXPECT_TRUE(suite.inspected());
     EXPECT_EQ(suite.gsPtrs().size(), 2u);
 
-    // Checkpoints key on the trace bytes: an edited hand-built trace with
-    // the same name must change the suite's content hash.
+    // Cells key on the trace bytes: an edited hand-built trace with the
+    // same name must change its row key.
     std::vector<Trace> edited;
     edited.push_back(generateTrace(specs[0]));
     edited.push_back(generateTrace(specs[1]));
     edited[0].ops[0].value ^= 1;
     Suite editedSuite = Suite::fromTraces(std::move(edited));
-    EXPECT_NE(editedSuite.contentHash(), suite.contentHash());
+    EXPECT_NE(editedSuite.rowKey(0), suite.rowKey(0));
+    EXPECT_EQ(editedSuite.rowKey(1), suite.rowKey(1));
 }
 
 // ----------------------------------------------------------- cache trimming

@@ -11,7 +11,10 @@
  * rebuilt core is bit-identical to the red-black-tree/per-cycle-alloc one.
  *
  * If a deliberate model change invalidates them, re-run this test and paste
- * the printed actual values (every mismatch logs its preset name).
+ * the printed actual values (every mismatch logs its preset name), then
+ * bump kCellModelVersion (sim/cell_key.hh) and kBlessedCellModelVersion
+ * below together: checkpoint stores keyed under the old model must never
+ * serve cells to the new one.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <string>
 
+#include "sim/cell_key.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "trace/serialize.hh"
@@ -41,6 +45,9 @@ snapshotOpts()
     return opts;
 }
 
+/** The cell-model version the fingerprints below were blessed under. */
+constexpr uint32_t kBlessedCellModelVersion = 1;
+
 struct PresetCase
 {
     const char* name;
@@ -54,6 +61,14 @@ hex16(uint64_t v)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+TEST(GoldenSnapshot, BlessedUnderTheCurrentCellModelVersion)
+{
+    // Re-blessed fingerprints with an unchanged version would let a store
+    // written by the old model serve the new one.
+    EXPECT_EQ(kCellModelVersion, kBlessedCellModelVersion)
+        << "bump both constants together when re-blessing fingerprints";
 }
 
 TEST(GoldenSnapshot, NoSmtPresetsBitIdentical)

@@ -4,7 +4,7 @@
  * a pure function of (seed, trace, spec); a sampled sweep is bit-identical
  * across 1/4/8 threads and fork-shard execution; malformed --sample specs
  * terminate instead of being reinterpreted; sampled and full-fidelity
- * sweeps checkpoint under different cell directories; and "sample.*" stat
+ * sweeps get disjoint cell-store keys; and "sample.*" stat
  * keys appear exactly when sampling ran (never on the full-fidelity
  * golden-snapshot surface).
  *
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -176,29 +177,35 @@ TEST(SampleCheckpoint, SampledAndFullCellsNeverCollide)
     ExperimentOptions sampled = sampledOpts();
     Suite suite = Suite::fromSpecs(twoSpecs(), full);
 
-    auto dirFor = [&](const ExperimentOptions& o) {
+    auto keysFor = [&](const ExperimentOptions& o) {
         Experiment exp("ckpt", suite, o);
         exp.add("baseline", mechFor("baseline"));
-        SweepManifest m;
-        return exp.checkpointDirFor("/ckpt-root", /*smt=*/false, m,
-                                    suite.size());
+        return exp.manifest(/*smt=*/false).cellKeys;
     };
-    EXPECT_NE(dirFor(full), dirFor(sampled));
+    auto disjoint = [](const std::vector<uint64_t>& a,
+                       const std::vector<uint64_t>& b) {
+        for (uint64_t k : a) {
+            if (std::find(b.begin(), b.end(), k) != b.end())
+                return false;
+        }
+        return true;
+    };
+    EXPECT_TRUE(disjoint(keysFor(full), keysFor(sampled)));
 
     // Different sample specs and different seeds also get their own cells
     // (the seed drives window selection, so it is part of the identity).
     ExperimentOptions widened = sampled;
     widened.sample.spread = 1;
-    EXPECT_NE(dirFor(sampled), dirFor(widened));
+    EXPECT_TRUE(disjoint(keysFor(sampled), keysFor(widened)));
     ExperimentOptions reseeded = sampled;
     reseeded.seed += 1;
-    EXPECT_NE(dirFor(sampled), dirFor(reseeded));
-    // Full-fidelity checkpoints ignore the seed (cells are deterministic
-    // functions of (row, config) alone) — the sampled-only sensitivity
+    EXPECT_TRUE(disjoint(keysFor(sampled), keysFor(reseeded)));
+    // Full-fidelity cells ignore the seed (cells are deterministic
+    // functions of what they simulate) — the sampled-only sensitivity
     // above must not leak into the full path.
     ExperimentOptions fullReseeded = full;
     fullReseeded.seed += 1;
-    EXPECT_EQ(dirFor(full), dirFor(fullReseeded));
+    EXPECT_EQ(keysFor(full), keysFor(fullReseeded));
 }
 
 // ---------------------------------------------------------------- stats

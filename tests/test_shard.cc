@@ -48,6 +48,16 @@ class ShardTest : public ::testing::Test
     std::string dir;
 };
 
+/** Give every cell of @p m its own store key (the shard layer needs
+ *  nothing more of a key than that distinct cells get distinct files). */
+void
+keyCells(SweepManifest& m)
+{
+    m.cellKeys.clear();
+    for (uint64_t c = 0; c < m.numCells(); ++c)
+        m.cellKeys.push_back(0x5eed0000 + c);
+}
+
 /** A 2x3 synthetic sweep: cells are cheap deterministic functions of the
  *  index, which is all the shard layer requires of a cell. */
 SweepManifest
@@ -55,10 +65,10 @@ syntheticManifest()
 {
     SweepManifest m;
     m.experiment = "shard-test";
-    m.suiteHash = 0x5eed;
     m.numRows = 2;
     m.numConfigs = 3;
     m.configNames = { "a", "b", "c" };
+    keyCells(m);
     return m;
 }
 
@@ -89,7 +99,8 @@ workerOpts(int shard_id, unsigned ttl_sec = 120)
 
 TEST_F(ShardTest, LeaseAcquireIsExclusiveAndRoundTrips)
 {
-    std::string lp = dir + "/cell-0-0.rr.lease";
+    std::string lp = cellLeasePath(dir, syntheticManifest(), 0);
+    fs::create_directories(cellStoreDir(dir));
     LeaseRecord r;
     r.owner = processOwnerTag();
     r.pid = static_cast<uint64_t>(getpid());
@@ -256,7 +267,7 @@ TEST_F(ShardTest, SigkilledWorkerLeasesAreReclaimedAndCellsReRun)
 TEST_F(ShardTest, FreshLeaseOfALiveWorkerIsNotReclaimed)
 {
     SweepManifest m = syntheticManifest();
-    writeOrVerifyManifest(dir, m);
+    fs::create_directories(cellStoreDir(dir));
     // Another (live) worker holds cell 0: lease fresh, no cell file. A
     // second worker must compute everything else, then wait for the lease
     // to expire before touching cell 0 — with a generous TTL it would
@@ -344,10 +355,10 @@ TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
 {
     SweepManifest m;
     m.experiment = "scaling";
-    m.suiteHash = 0xabc;
     m.numRows = 10;
     m.numConfigs = 4; // 40 cells x 20 ms
     m.configNames = { "a", "b", "c", "d" };
+    keyCells(m);
     auto compute = [](size_t cell) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return syntheticCell(cell);
@@ -386,6 +397,7 @@ TEST_F(ShardTest, HeartbeatKeepsLeaseFreshThroughSubComputeTtl)
     m.numRows = 1;
     m.numConfigs = 1;
     m.configNames = { "slow" };
+    keyCells(m);
     auto compute = [](size_t cell) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1600));
         return syntheticCell(cell);
@@ -428,6 +440,7 @@ TEST_F(ShardTest, NoDoubleComputationWithSlowCellsAndShortTtl)
     m.numRows = 3;
     m.numConfigs = 1; // 3 cells x 1.5 s vs a 1 s TTL
     m.configNames = { "slow" };
+    keyCells(m);
     auto compute = [](size_t cell) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1500));
         return syntheticCell(cell);
@@ -470,6 +483,7 @@ TEST_F(ShardTest, LostLeaseIsDetectedAtCommitAndCellAbandoned)
     m.numRows = 1;
     m.numConfigs = 1;
     m.configNames = { "contested" };
+    keyCells(m);
     std::string lp = cellLeasePath(dir, m, 0);
 
     unsigned invocations = 0;
@@ -498,9 +512,10 @@ TEST_F(ShardTest, LostLeaseIsDetectedAtCommitAndCellAbandoned)
 
 /**
  * Quarantine: a cell whose regenerated checkpoint keeps failing
- * verification (every write torn via the fault shim) must be moved into
- * <dir>/quarantine/ after opts.quarantineAfter attempts instead of being
- * rewritten forever — while the in-memory result keeps the matrix complete.
+ * verification (every write torn via the fault shim) must be renamed to
+ * <cell>.rr.quarantined beside the store's cells after opts.quarantineAfter
+ * attempts instead of being rewritten forever — while the in-memory result
+ * keeps the matrix complete.
  */
 TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
 {
@@ -522,10 +537,7 @@ TEST_F(ShardTest, PersistentlyCorruptCellIsQuarantined)
     EXPECT_GE(oc.corruptCells, 1u);
     EXPECT_EQ(oc.quarantined, 1u);
     EXPECT_FALSE(fs::exists(cellFilePath(dir, m, 2))); // moved, not left
-    bool inQuarantine = false;
-    for (const auto& e : fs::directory_iterator(dir + "/quarantine"))
-        inQuarantine |= e.path().filename().string().rfind("cell-", 0) == 0;
-    EXPECT_TRUE(inQuarantine);
+    EXPECT_TRUE(fs::exists(cellFilePath(dir, m, 2) + ".quarantined"));
     ASSERT_EQ(merged.size(), m.numCells());
     for (size_t c = 0; c < merged.size(); ++c) {
         EXPECT_EQ(serializeRunResult(merged[c]),
@@ -545,7 +557,8 @@ TEST_F(ShardTest, ClockSkewOnLeaseAgeIsClampedNotReclaimed)
     m.numRows = 1;
     m.numConfigs = 1;
     m.configNames = { "skewed" };
-    writeOrVerifyManifest(dir, m);
+    keyCells(m);
+    fs::create_directories(cellStoreDir(dir));
     std::string lp = cellLeasePath(dir, m, 0);
     LeaseRecord other;
     other.owner = "other-host:99999";

@@ -116,16 +116,14 @@ runSweepChild()
     exp.addPreset("baseline");
     exp.addPreset("constable");
 
-    SweepManifest manifest;
-    std::string dir = exp.checkpointDirFor(opts.checkpointDir,
-                                           /*smt=*/false, manifest,
-                                           suite.size());
+    // The stale lease sits in the cell store, beside cell 0's file.
+    SweepManifest manifest = exp.manifest(/*smt=*/false);
     std::error_code ec;
-    fs::create_directories(dir, ec);
+    fs::create_directories(cellStoreDir(opts.checkpointDir), ec);
     LeaseRecord foreign;
     foreign.owner = "faultsweep-foreign";
     foreign.shardId = 1;
-    std::string lp = cellLeasePath(dir, manifest, 0);
+    std::string lp = cellLeasePath(opts.checkpointDir, manifest, 0);
     if (tryAcquireLease(lp, foreign)) {
         // Backdate far past both the TTL (2 s) and any injected skew
         // (default 300 s), so the reclaim fires even under "skew".
