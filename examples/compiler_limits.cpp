@@ -25,7 +25,7 @@ emitGetRng(ProgramBuilder& b, Addr s_rng)
 {
     b.load(0x432624, RAX, AddrMode::PcRel, s_rng);   // rax = s_rng
     b.alu(0x43262b, RCX, RAX);                       // test/use
-    b.branch(0x43262e, false, 0x432638);             // never null again
+    b.branch(0x43262e, false);                       // never null again
 }
 
 /** xz-style: inlined rc_shift_low reloading its stack-resident arguments
@@ -40,7 +40,7 @@ emitRcShiftLow(ProgramBuilder& b, Addr frame, uint64_t& out_pos)
     b.store(0x4134dc, AddrMode::RegRel, 0x60000 + (out_pos % 512), 0xff,
             rdi);                                     // out[*out_pos] = ...
     ++out_pos;
-    b.branch(0x4134f5, true, 0x4134d0);               // loop
+    b.branch(0x4134f5, true);                         // loop
 }
 
 } // namespace

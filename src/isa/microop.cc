@@ -51,11 +51,10 @@ MicroOp::str() const
                       regName(dst).c_str(), regName(src[0]).c_str(),
                       regName(src[1]).c_str());
     } else if (isBranch()) {
-        std::snprintf(buf, sizeof(buf), "%s pc=%#llx %s -> %#llx",
+        std::snprintf(buf, sizeof(buf), "%s pc=%#llx %s",
                       opClassName(cls).c_str(),
                       static_cast<unsigned long long>(pc),
-                      taken ? "T" : "NT",
-                      static_cast<unsigned long long>(target));
+                      taken ? "T" : "NT");
     } else {
         std::snprintf(buf, sizeof(buf), "%s pc=%#llx dst=%s src=%s,%s",
                       opClassName(cls).c_str(),

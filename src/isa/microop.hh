@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 #include "isa/reg.hh"
@@ -49,8 +50,11 @@ std::string opClassName(OpClass c);
 std::string addrModeName(AddrMode m);
 
 /**
- * One dynamic micro-op. Fixed-size POD so traces stay compact and the
- * generator can stream millions of them cheaply.
+ * One dynamic micro-op: a 32-byte trivially copyable record, so a trace
+ * costs 32 B per op in memory and the trace-cache file stores the same
+ * record (trace/serialize.hh). The eight byte-wide fields fill the 8 bytes
+ * between the PC and the two 8-byte-aligned golden values, leaving no
+ * padding.
  */
 struct MicroOp
 {
@@ -68,15 +72,13 @@ struct MicroOp
     /** Memory access size in bytes (loads/stores). */
     uint8_t size = 8;
 
+    /** Branch outcome. */
+    bool taken = false;
+
     /** Golden effective address (loads/stores). */
     Addr effAddr = 0;
     /** Golden data value: value loaded, or value stored. */
     uint64_t value = 0;
-
-    /** Branch outcome. */
-    bool taken = false;
-    /** Branch target (unused by the timing model except for BTB indexing). */
-    Addr target = 0;
 
     bool isLoad() const { return cls == OpClass::Load; }
     bool isStore() const { return cls == OpClass::Store; }
@@ -100,6 +102,9 @@ struct MicroOp
     /** Debug rendering. */
     std::string str() const;
 };
+
+static_assert(sizeof(MicroOp) == 32 && std::is_trivially_copyable_v<MicroOp>,
+              "MicroOp is the 32-byte trace record");
 
 } // namespace constable
 

@@ -27,8 +27,6 @@ relocateTrace(const Trace& t, PC pc_off, Addr addr_off)
         op.pc += pc_off;
         if (op.isMem())
             op.effAddr += addr_off;
-        if (op.isBranch())
-            op.target += pc_off;
     }
     for (SnoopEvent& s : out.snoops)
         s.addr += addr_off;

@@ -195,24 +195,22 @@ ProgramBuilder::store(PC pc, AddrMode mode, Addr addr, uint64_t value,
 }
 
 void
-ProgramBuilder::branch(PC pc, bool taken, Addr target)
+ProgramBuilder::branch(PC pc, bool taken)
 {
     MicroOp op;
     op.pc = pc;
     op.cls = OpClass::Branch;
     op.taken = taken;
-    op.target = target;
     push(op);
 }
 
 void
-ProgramBuilder::jump(PC pc, Addr target)
+ProgramBuilder::jump(PC pc)
 {
     MicroOp op;
     op.pc = pc;
     op.cls = OpClass::Jump;
     op.taken = true;
-    op.target = target;
     push(op);
 }
 

@@ -35,6 +35,8 @@ class ProgramBuilder
     MemImage& mem() { return image; }
     unsigned numRegs() const { return numArchRegs; }
     size_t numOps() const { return ops.size(); }
+    /** Reserve room for @p n ops in total (the trace's final size). */
+    void reserveOps(size_t n) { ops.reserve(n); }
 
     /**
      * Allocate a callee-saved-style register that no other fragment will
@@ -89,10 +91,10 @@ class ProgramBuilder
                uint8_t size = 8);
 
     /** Conditional branch with a concrete outcome. */
-    void branch(PC pc, bool taken, Addr target);
+    void branch(PC pc, bool taken);
 
     /** Unconditional direct jump (branch-foldable at rename). */
-    void jump(PC pc, Addr target);
+    void jump(PC pc);
 
     /** rsp += delta (constant-foldable at rename; writes RSP). */
     void stackAdj(PC pc, int64_t delta);

@@ -50,6 +50,12 @@ GlobalConstFragment::burst(ProgramBuilder& b)
     }
 }
 
+size_t
+GlobalConstFragment::maxBurstOps() const
+{
+    return 6; // two loads, two ALU ops, a multiply, the mutating store
+}
+
 // ---------------------------------------------------------------- inlined
 
 InlinedFuncFragment::InlinedFuncFragment(PC pc_base, Addr stack_off,
@@ -133,6 +139,13 @@ InlinedFuncFragment::burst(ProgramBuilder& b)
                     argVals[i], RSP);
         }
     }
+}
+
+size_t
+InlinedFuncFragment::maxBurstOps() const
+{
+    // Argument reloads, body, result spill, argument re-stores.
+    return numArgs + bodyOps + 1 + (mode == StoreMode::Once ? 0 : numArgs);
 }
 
 // ----------------------------------------------------------------- object
@@ -219,6 +232,15 @@ ObjectFieldFragment::burst(ProgramBuilder& b)
     }
 }
 
+size_t
+ObjectFieldFragment::maxBurstOps() const
+{
+    // Base rewrite, per-iteration root + field loads with their ALU ops,
+    // the accumulator triple, the tail field update.
+    return 1 + itersPerBurst * (2 + 2 * numFields) + (accumField ? 3 : 0) +
+           2;
+}
+
 // ------------------------------------------------------------------- call
 
 CallFragment::CallFragment(PC pc_base, unsigned num_params,
@@ -249,7 +271,7 @@ CallFragment::burst(ProgramBuilder& b)
         b.store(pc(1 + i), AddrMode::StackRel, frame + 8 * i, paramVals[i],
                 RSP);
     }
-    b.jump(pc(8), pcBase + 0x40);
+    b.jump(pc(8));
     // Callee: reload parameters (store->load pairs MRN can rename) and work.
     for (unsigned i = 0; i < numParams; ++i)
         b.load(pc(16 + i), b.scratch(i), AddrMode::StackRel, frame + 8 * i,
@@ -258,7 +280,14 @@ CallFragment::burst(ProgramBuilder& b)
         b.alu(pc(24 + j), b.scratch(j % 3), b.scratch(j % 2),
               b.scratch((j + 1) % 3));
     b.stackAdj(pc(30), 64);
-    b.jump(pc(31), pcBase + 4);
+    b.jump(pc(31));
+}
+
+size_t
+CallFragment::maxBurstOps() const
+{
+    // Frame open/close, two jumps, four ALU ops, parameter stores + loads.
+    return 8 + 2 * numParams;
 }
 
 // ----------------------------------------------------------------- stream
@@ -309,6 +338,12 @@ StreamFragment::burst(ProgramBuilder& b)
     }
 }
 
+size_t
+StreamFragment::maxBurstOps() const
+{
+    return 2 + 5 * elemsPerBurst; // base + index immediates, 5 per element
+}
+
 // ---------------------------------------------------------------- strided
 
 StridedValueFragment::StridedValueFragment(PC pc_base, Addr data_base,
@@ -356,6 +391,12 @@ StridedValueFragment::burst(ProgramBuilder& b)
     }
 }
 
+size_t
+StridedValueFragment::maxBurstOps() const
+{
+    return 2 + 4 * elemsPerBurst; // base + index immediates, 4 per element
+}
+
 // ------------------------------------------------------- predictable chase
 
 PredictableChaseFragment::PredictableChaseFragment(PC pc_base,
@@ -393,6 +434,12 @@ PredictableChaseFragment::burst(ProgramBuilder& b)
         b.load(pc(0), ptrReg, AddrMode::RegRel, cur, ptrReg); // p = [p]
         b.alu(pc(1), b.scratch(0), ptrReg);
     }
+}
+
+size_t
+PredictableChaseFragment::maxBurstOps() const
+{
+    return 2 * stepsPerBurst;
 }
 
 // ------------------------------------------------------------------ chase
@@ -446,6 +493,12 @@ PointerChaseFragment::burst(ProgramBuilder& b)
         b.store(pc(61), AddrMode::PcRel, homeSlot, b.regVal(p));
 }
 
+size_t
+PointerChaseFragment::maxBurstOps() const
+{
+    return 2 + 2 * stepsPerBurst; // spill-slot reload and write-back
+}
+
 // ------------------------------------------------------------ accumulator
 
 AccumulatorFragment::AccumulatorFragment(PC pc_base, Addr data_base,
@@ -477,6 +530,12 @@ AccumulatorFragment::burst(ProgramBuilder& b)
     b.store(pc(3 * i + 2), AddrMode::PcRel, a, cur + 13);
 }
 
+size_t
+AccumulatorFragment::maxBurstOps() const
+{
+    return 3;
+}
+
 // ---------------------------------------------------------------- branchy
 
 BranchyFragment::BranchyFragment(PC pc_base, unsigned num_branches,
@@ -503,8 +562,14 @@ BranchyFragment::burst(ProgramBuilder& b)
         } else {
             taken = ((burstCount >> (j % 3)) & 1) != 0; // patterned: learned
         }
-        b.branch(pc(3 * j + 1), taken, pcBase + 0x800 + 16 * j);
+        b.branch(pc(3 * j + 1), taken);
     }
+}
+
+size_t
+BranchyFragment::maxBurstOps() const
+{
+    return 2 * numBranches;
 }
 
 } // namespace constable

@@ -51,6 +51,10 @@ class Fragment
     /** Emit one burst (a call / loop iteration / stream chunk). */
     virtual void burst(ProgramBuilder& b) = 0;
 
+    /** Upper bound on the ops one burst() emits (generateTrace sizes its
+     *  op vector with it). */
+    virtual size_t maxBurstOps() const = 0;
+
   protected:
     PC pc(unsigned i) const { return pcBase + 4 * i; }
 
@@ -67,6 +71,7 @@ class GlobalConstFragment : public Fragment
                         unsigned mutate_period);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned numGlobals;
@@ -82,6 +87,7 @@ class InlinedFuncFragment : public Fragment
                         StoreMode mode, unsigned body_ops);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     Addr stackOff;
@@ -104,6 +110,7 @@ class ObjectFieldFragment : public Fragment
                         bool accum_field);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned numFields;
@@ -121,6 +128,7 @@ class CallFragment : public Fragment
     CallFragment(PC pc_base, unsigned num_params, StoreMode mode);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned numParams;
@@ -136,6 +144,7 @@ class StreamFragment : public Fragment
                    unsigned elems_per_burst);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned footprintBytes;
@@ -152,6 +161,7 @@ class StridedValueFragment : public Fragment
                          unsigned elems_per_burst);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned footprintBytes;
@@ -175,6 +185,7 @@ class PredictableChaseFragment : public Fragment
                              unsigned steps_per_burst);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned ringElems;
@@ -190,6 +201,7 @@ class PointerChaseFragment : public Fragment
                          unsigned steps_per_burst);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned ringElems;
@@ -205,6 +217,7 @@ class AccumulatorFragment : public Fragment
     AccumulatorFragment(PC pc_base, Addr data_base, unsigned num_counters);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned numCounters;
@@ -218,6 +231,7 @@ class BranchyFragment : public Fragment
     BranchyFragment(PC pc_base, unsigned num_branches, double random_frac);
     void setup(ProgramBuilder& b) override;
     void burst(ProgramBuilder& b) override;
+    size_t maxBurstOps() const override;
 
   private:
     unsigned numBranches;

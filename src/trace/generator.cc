@@ -1,23 +1,26 @@
 #include "trace/generator.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/logging.hh"
 
 namespace constable {
 
-Trace
-generateTrace(const WorkloadSpec& spec)
-{
-    ProgramBuilder b(spec.seed, spec.numArchRegs);
+namespace {
 
-    struct Entry
-    {
-        std::unique_ptr<Fragment> frag;
-        unsigned bursts;
-    };
+struct Entry
+{
+    std::unique_ptr<Fragment> frag;
+    unsigned bursts;
+};
+
+/** The spec's fragments in schedule order, plus the addresses its snoops
+ *  may target. */
+std::vector<Entry>
+makeFragments(const WorkloadSpec& spec, std::vector<Addr>& snoopTargets)
+{
     std::vector<Entry> frags;
-    std::vector<Addr> snoopTargets;
 
     unsigned idx = 0;
     auto nextPc = [&idx]() {
@@ -105,9 +108,44 @@ generateTrace(const WorkloadSpec& spec)
 
     if (frags.empty())
         fatal("generateTrace: spec has no fragments");
+    return frags;
+}
+
+/** Ops one scheduler sub-round can emit at most: each fragment bursts at
+ *  most once per sub-round. */
+size_t
+subRoundBound(const std::vector<Entry>& frags)
+{
+    size_t n = 0;
+    for (const Entry& e : frags)
+        n += e.frag->maxBurstOps();
+    return n;
+}
+
+} // namespace
+
+size_t
+maxTraceOvershoot(const WorkloadSpec& spec)
+{
+    std::vector<Addr> snoopTargets;
+    return subRoundBound(makeFragments(spec, snoopTargets));
+}
+
+Trace
+generateTrace(const WorkloadSpec& spec)
+{
+    ProgramBuilder b(spec.seed, spec.numArchRegs);
+    std::vector<Addr> snoopTargets;
+    std::vector<Entry> frags = makeFragments(spec, snoopTargets);
 
     for (auto& e : frags)
         e.frag->setup(b);
+    // The loop below stops after the first sub-round that reaches
+    // targetOps, so the trace ends at most one sub-round past it: with that
+    // much room reserved the op vector never regrows (no doubling copies,
+    // no 2x capacity left behind).
+    b.reserveOps(std::max<size_t>(b.numOps(), spec.targetOps) +
+                 subRoundBound(frags));
 
     unsigned maxBursts = 1;
     for (auto& e : frags)

@@ -92,6 +92,10 @@ struct WorkloadSpec
 /** Generate the full trace for a spec. Deterministic. */
 Trace generateTrace(const WorkloadSpec& spec);
 
+/** How far past spec.targetOps (or past the setup ops, when those alone
+ *  reach it) generateTrace(spec) can run: the op vector's reserved slack. */
+size_t maxTraceOvershoot(const WorkloadSpec& spec);
+
 } // namespace constable
 
 #endif

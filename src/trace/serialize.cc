@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <random>
 #include <system_error>
 
@@ -39,6 +41,54 @@ constexpr uint32_t kLeaseMagic = 0x534c5343;    // "CSLS"
  *  manifest change never invalidates trace-cache entries. 2: per-cell
  *  store keys replaced the single suite hash. */
 constexpr uint32_t kManifestVersion = 2;
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/** FNV-1a continued over n more bytes from running hash h. */
+uint64_t
+fnv1aExtend(uint64_t h, const uint8_t* data, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+// Fixed-width little-endian stores and loads at arbitrary byte offsets.
+// They go through memcpy, never a reinterpret_cast: the buffer may be an
+// mmap view at any offset (loadTrace), where a cast access is unaligned
+// and UBSan rejects it. memcpy compiles to a single access on every target
+// we build for, and the explicit byteswap keeps the format little-endian.
+template <typename T>
+T
+swapToLe(T v)
+{
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+    if constexpr (std::endian::native == std::endian::little)
+        return v;
+    else if constexpr (sizeof(T) == 4)
+        return __builtin_bswap32(v);
+    else
+        return __builtin_bswap64(v);
+}
+
+template <typename T>
+void
+storeLe(uint8_t* p, T v)
+{
+    v = swapToLe(v);
+    std::memcpy(p, &v, sizeof(T));
+}
+
+template <typename T>
+T
+loadLe(const uint8_t* p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return swapToLe(v);
+}
 
 /** Little-endian append-only encoder. */
 class ByteWriter
@@ -107,33 +157,35 @@ class ByteReader
         return true;
     }
 
-    // Multi-byte reads go through memcpy, never a reinterpret_cast of
-    // data_ + pos_: the buffer may be an mmap view at arbitrary offset
-    // (loadTrace), where a cast load is an unaligned access UBSan rejects.
-    // memcpy compiles to a single load on every target we build for, and
-    // the explicit byteswap keeps the on-disk format little-endian.
     bool
     u32(uint32_t& v)
     {
-        if (pos_ + 4 > n_)
+        const uint8_t* p = take(4);
+        if (!p)
             return false;
-        std::memcpy(&v, data_ + pos_, 4);
-        if constexpr (std::endian::native == std::endian::big)
-            v = __builtin_bswap32(v);
-        pos_ += 4;
+        v = loadLe<uint32_t>(p);
         return true;
     }
 
     bool
     u64(uint64_t& v)
     {
-        if (pos_ + 8 > n_)
+        const uint8_t* p = take(8);
+        if (!p)
             return false;
-        std::memcpy(&v, data_ + pos_, 8);
-        if constexpr (std::endian::native == std::endian::big)
-            v = __builtin_bswap64(v);
-        pos_ += 8;
+        v = loadLe<uint64_t>(p);
         return true;
+    }
+
+    /** The next n bytes, or nullptr (consuming nothing) past the end. */
+    const uint8_t*
+    take(size_t n)
+    {
+        if (n > n_ - pos_)
+            return nullptr;
+        const uint8_t* p = data_ + pos_;
+        pos_ += n;
+        return p;
     }
 
     bool
@@ -172,10 +224,7 @@ checkedPayload(const uint8_t* bytes, size_t n, size_t& payload_len)
     if (n < 8)
         return false;
     payload_len = n - 8;
-    ByteReader tail(bytes + payload_len, 8);
-    uint64_t want;
-    tail.u64(want);
-    return fnv1a(bytes, payload_len) == want;
+    return fnv1a(bytes, payload_len) == loadLe<uint64_t>(bytes + payload_len);
 }
 
 /** Per-write unique tmp suffix: pid + process-random nonce + counter.
@@ -218,96 +267,278 @@ fsyncDirOf(const std::string& path)
 #endif
 }
 
+/**
+ * Streaming atomic writer: write() appends chunks to a fresh tmp file and
+ * commit() renames it over the destination. The atomic.* fault points fire
+ * in writeFileAtomic's order: tmp.open and tmp.write before any byte is
+ * written, tmp.fsync, commit.rename and dir.fsync at commit. A pending torn
+ * write (armed at atomic.tmp.write or a higher-level point such as
+ * ckpt.cell.commit:torn) commits only the first half of everything written:
+ * the write and the rename both "succeed", and only the trailing checksum
+ * can tell. Destroying an uncommitted writer removes its tmp file.
+ */
+class AtomicFileWriter
+{
+  public:
+    AtomicFileWriter(const std::string& path, bool durable)
+        : path_(path), durable_(durable)
+    {
+        if (faultFailed("atomic.tmp.open"))
+            return;
+        tmp_ = path + tmpSuffix();
+        f_ = std::fopen(tmp_.c_str(), "wb");
+        if (f_ && faultFailed("atomic.tmp.write"))
+            abandon();
+        if (f_)
+            torn_ = faultConsumeTorn();
+    }
+
+    ~AtomicFileWriter() { abandon(); }
+
+    AtomicFileWriter(const AtomicFileWriter&) = delete;
+    AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+    bool
+    write(const uint8_t* data, size_t n)
+    {
+        if (f_ && n != 0 && std::fwrite(data, 1, n, f_) != n)
+            abandon();
+        written_ += n;
+        return f_ != nullptr;
+    }
+
+    bool
+    commit()
+    {
+        if (!f_)
+            return false;
+        bool ok = true;
+        if (torn_) {
+            std::error_code ec;
+            ok = std::fflush(f_) == 0;
+            std::filesystem::resize_file(tmp_, written_ / 2, ec);
+            ok = ok && !ec;
+        }
+        if (ok && durable_)
+            ok = std::fflush(f_) == 0 && !faultFailed("atomic.tmp.fsync");
+#if defined(__unix__) || defined(__APPLE__)
+        if (ok && durable_)
+            ok = ::fsync(::fileno(f_)) == 0;
+#endif
+        ok = std::fclose(f_) == 0 && ok;
+        f_ = nullptr;
+        // Crash at atomic.commit.rename models death just before the
+        // commit (an orphaned tmp file); crash at atomic.dir.fsync models
+        // death just after it (the file is committed but its dir entry not
+        // yet synced).
+        if (!ok || faultFailed("atomic.commit.rename")) {
+            std::remove(tmp_.c_str());
+            return false;
+        }
+        std::error_code ec;
+        std::filesystem::rename(tmp_, path_, ec);
+        if (ec) {
+            std::remove(tmp_.c_str());
+            return false;
+        }
+        if (durable_ && !faultFailed("atomic.dir.fsync"))
+            fsyncDirOf(path_);
+        return true;
+    }
+
+  private:
+    /** Close and delete the tmp file; later calls report failure. */
+    void
+    abandon()
+    {
+        if (!f_)
+            return;
+        std::fclose(f_);
+        f_ = nullptr;
+        std::remove(tmp_.c_str());
+    }
+
+    std::string path_;
+    std::string tmp_;
+    bool durable_;
+    std::FILE* f_ = nullptr;
+    bool torn_ = false;
+    uint64_t written_ = 0;
+};
+
+/** Receives the encoded bytes chunk by chunk; false aborts the encoding. */
+using ByteSink = std::function<bool(const uint8_t*, size_t)>;
+
+/** Exact encoded size of a trace (serializeTrace(t).size()). */
+size_t
+encodedTraceBytes(const Trace& t)
+{
+    return 4 + 4 + (4 + t.name.size()) + (4 + t.category.size()) + 4 + 8 +
+           t.ops.size() * kTraceOpRecordBytes + 8 + t.snoops.size() * 16 +
+           8;
+}
+
+/**
+ * The one trace encoder: emits the encoding into a chunk buffer of at most
+ * kTraceChunkBytes, hands each full chunk to the sink and folds it into a
+ * running FNV-1a, which yields both the trailing checksum and the content
+ * hash without a whole-file buffer.
+ */
+class TraceEncoder
+{
+  public:
+    TraceEncoder(const ByteSink& sink, size_t total_bytes)
+        : sink_(sink), cap_(std::min(kTraceChunkBytes, total_bytes)),
+          buf_(new uint8_t[cap_])
+    {
+    }
+
+    /** n <= kTraceOpRecordBytes contiguous bytes of the current chunk. */
+    uint8_t*
+    room(size_t n)
+    {
+        if (used_ + n > cap_)
+            flush();
+        uint8_t* p = buf_.get() + used_;
+        used_ += n;
+        return p;
+    }
+
+    void u32(uint32_t v) { storeLe(room(4), v); }
+    void u64(uint64_t v) { storeLe(room(8), v); }
+
+    void
+    str(const std::string& s)
+    {
+        u32(static_cast<uint32_t>(s.size()));
+        const auto* d = reinterpret_cast<const uint8_t*>(s.data());
+        for (size_t n = s.size(); n != 0;) {
+            if (used_ == cap_)
+                flush();
+            size_t k = std::min(n, cap_ - used_);
+            std::memcpy(buf_.get() + used_, d, k);
+            used_ += k;
+            d += k;
+            n -= k;
+        }
+    }
+
+    void
+    flush()
+    {
+        if (used_ == 0)
+            return;
+        hash_ = fnv1aExtend(hash_, buf_.get(), used_);
+        ok_ = ok_ && sink_(buf_.get(), used_);
+        used_ = 0;
+    }
+
+    /** Append the checksum of everything encoded so far and flush.
+     *  @return FNV-1a over every byte, the checksum included. */
+    uint64_t
+    seal()
+    {
+        flush();
+        u64(hash_);
+        flush();
+        return hash_;
+    }
+
+    bool ok() const { return ok_; }
+
+  private:
+    const ByteSink& sink_;
+    size_t cap_;
+    std::unique_ptr<uint8_t[]> buf_;
+    size_t used_ = 0;
+    uint64_t hash_ = kFnvOffset;
+    bool ok_ = true;
+};
+
+void
+putOp(uint8_t* p, const MicroOp& op)
+{
+    storeLe(p, op.pc);
+    p[8] = static_cast<uint8_t>(op.cls);
+    p[9] = static_cast<uint8_t>(op.addrMode);
+    p[10] = op.src[0];
+    p[11] = op.src[1];
+    p[12] = op.src[2];
+    p[13] = op.dst;
+    p[14] = op.size;
+    p[15] = op.taken ? 1 : 0;
+    storeLe(p + 16, op.effAddr);
+    storeLe(p + 24, op.value);
+}
+
+bool
+validReg(uint8_t r)
+{
+    return r < kMaxArchRegs || r == kNoReg;
+}
+
+/** Decode one record, rejecting any field the core could not index or
+ *  interpret (a resealed file passes the checksum, so this is the last
+ *  line of defence before renameMap[src]). */
+bool
+getOp(const uint8_t* p, MicroOp& op)
+{
+    uint8_t cls = p[8], mode = p[9], size = p[14], taken = p[15];
+    if (cls > static_cast<uint8_t>(OpClass::Nop) ||
+        mode > static_cast<uint8_t>(AddrMode::RegRel) || !validReg(p[10]) ||
+        !validReg(p[11]) || !validReg(p[12]) || !validReg(p[13]) ||
+        size == 0 || size > 8 || taken > 1)
+        return false;
+    op.pc = loadLe<uint64_t>(p);
+    op.cls = static_cast<OpClass>(cls);
+    op.addrMode = static_cast<AddrMode>(mode);
+    op.src = { p[10], p[11], p[12] };
+    op.dst = p[13];
+    op.size = size;
+    op.taken = taken != 0;
+    op.effAddr = loadLe<uint64_t>(p + 16);
+    op.value = loadLe<uint64_t>(p + 24);
+    return true;
+}
+
+/** Stream t's encoding into sink. @return false when the sink failed;
+ *  @p content_hash (optional) receives FNV-1a over all encoded bytes. */
+bool
+encodeTrace(const Trace& t, const ByteSink& sink,
+            uint64_t* content_hash = nullptr)
+{
+    TraceEncoder e(sink, encodedTraceBytes(t));
+    e.u32(kTraceMagic);
+    e.u32(kTraceVersion);
+    e.str(t.name);
+    e.str(t.category);
+    e.u32(t.numArchRegs);
+    e.u64(t.ops.size());
+    for (const MicroOp& op : t.ops) {
+        putOp(e.room(kTraceOpRecordBytes), op);
+        if (!e.ok())
+            return false;
+    }
+    e.u64(t.snoops.size());
+    for (const SnoopEvent& s : t.snoops) {
+        e.u64(s.beforeSeq);
+        e.u64(s.addr);
+    }
+    uint64_t h = e.seal();
+    if (content_hash)
+        *content_hash = h;
+    return e.ok();
+}
+
 } // namespace
 
 bool
 writeFileAtomic(const std::string& path, const std::vector<uint8_t>& bytes,
                 bool durable)
 {
-    if (faultFailed("atomic.tmp.open"))
-        return false;
-    std::string tmp = path + tmpSuffix();
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    if (faultFailed("atomic.tmp.write")) {
-        std::fclose(f);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    // A pending torn write (armed here or at a higher-level point like
-    // ckpt.cell.commit:torn) silently commits half the payload: the write
-    // and rename both "succeed", and only the trailing checksum can tell.
-    size_t n = bytes.size();
-    if (faultConsumeTorn())
-        n /= 2;
-    size_t wrote = n == 0 ? 0 : std::fwrite(bytes.data(), 1, n, f);
-    bool ok = wrote == n;
-    if (ok && durable) {
-        ok = std::fflush(f) == 0 && !faultFailed("atomic.tmp.fsync");
-    }
-#if defined(__unix__) || defined(__APPLE__)
-    if (ok && durable)
-        ok = ::fsync(::fileno(f)) == 0;
-#endif
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    // Crash at atomic.commit.rename models death just before the commit
-    // (an orphaned tmp file); crash at atomic.dir.fsync models death just
-    // after it (the file is committed but its dir entry not yet synced).
-    if (faultFailed("atomic.commit.rename")) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (durable && !faultFailed("atomic.dir.fsync"))
-        fsyncDirOf(path);
-    return true;
+    AtomicFileWriter w(path, durable);
+    return w.write(bytes.data(), bytes.size()) && w.commit();
 }
-
-namespace {
-
-void
-putOp(ByteWriter& w, const MicroOp& op)
-{
-    w.u64(op.pc);
-    w.u8(static_cast<uint8_t>(op.cls));
-    w.u8(static_cast<uint8_t>(op.addrMode));
-    for (uint8_t s : op.src)
-        w.u8(s);
-    w.u8(op.dst);
-    w.u8(op.size);
-    w.u64(op.effAddr);
-    w.u64(op.value);
-    w.u8(op.taken ? 1 : 0);
-    w.u64(op.target);
-}
-
-bool
-getOp(ByteReader& r, MicroOp& op)
-{
-    uint8_t cls, mode, taken;
-    bool ok = r.u64(op.pc) && r.u8(cls) && r.u8(mode) && r.u8(op.src[0]) &&
-              r.u8(op.src[1]) && r.u8(op.src[2]) && r.u8(op.dst) &&
-              r.u8(op.size) && r.u64(op.effAddr) && r.u64(op.value) &&
-              r.u8(taken) && r.u64(op.target);
-    if (!ok)
-        return false;
-    op.cls = static_cast<OpClass>(cls);
-    op.addrMode = static_cast<AddrMode>(mode);
-    op.taken = taken != 0;
-    return true;
-}
-
-} // namespace
 
 bool
 readFileBytes(const std::string& path, std::vector<uint8_t>& bytes)
@@ -344,12 +575,7 @@ readFileText(const std::string& path, std::string& out)
 uint64_t
 fnv1a(const uint8_t* data, size_t n)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1aExtend(kFnvOffset, data, n);
 }
 
 uint64_t
@@ -383,8 +609,9 @@ sanitizeFileName(std::string name)
 uint64_t
 traceContentHash(const Trace& t)
 {
-    auto bytes = serializeTrace(t);
-    return fnv1a(bytes.data(), bytes.size());
+    uint64_t h = 0;
+    encodeTrace(t, [](const uint8_t*, size_t) { return true; }, &h);
+    return h;
 }
 
 // ---------------------------------------------------------------- traces
@@ -392,22 +619,13 @@ traceContentHash(const Trace& t)
 std::vector<uint8_t>
 serializeTrace(const Trace& t)
 {
-    ByteWriter w;
-    w.u32(kTraceMagic);
-    w.u32(kSerializeVersion);
-    w.str(t.name);
-    w.str(t.category);
-    w.u32(t.numArchRegs);
-    w.u64(t.ops.size());
-    for (const MicroOp& op : t.ops)
-        putOp(w, op);
-    w.u64(t.snoops.size());
-    for (const SnoopEvent& s : t.snoops) {
-        w.u64(s.beforeSeq);
-        w.u64(s.addr);
-    }
-    w.sealChecksum();
-    return w.take();
+    std::vector<uint8_t> bytes;
+    bytes.reserve(encodedTraceBytes(t));
+    encodeTrace(t, [&bytes](const uint8_t* d, size_t n) {
+        bytes.insert(bytes.end(), d, d + n);
+        return true;
+    });
+    return bytes;
 }
 
 bool
@@ -419,7 +637,7 @@ deserializeTrace(const uint8_t* bytes, size_t n, Trace& out)
     ByteReader r(bytes, payload);
     uint32_t magic, version;
     if (!r.u32(magic) || magic != kTraceMagic || !r.u32(version) ||
-        version != kSerializeVersion)
+        version != kTraceVersion)
         return false;
     Trace t;
     uint32_t regs;
@@ -427,12 +645,12 @@ deserializeTrace(const uint8_t* bytes, size_t n, Trace& out)
     if (!r.str(t.name) || !r.str(t.category) || !r.u32(regs) || !r.u64(nOps))
         return false;
     t.numArchRegs = regs;
-    // Per-op payload is 40 bytes; reject absurd counts before reserving.
-    if (nOps > r.remaining() / 40 + 1)
+    // Reject absurd counts before allocating.
+    if (nOps > r.remaining() / kTraceOpRecordBytes)
         return false;
     t.ops.resize(nOps);
     for (MicroOp& op : t.ops) {
-        if (!getOp(r, op))
+        if (!getOp(r.take(kTraceOpRecordBytes), op))
             return false;
     }
     if (!r.u64(nSnoops) || nSnoops > r.remaining() / 16 + 1)
@@ -459,7 +677,10 @@ saveTrace(const std::string& path, const Trace& t)
 {
     if (faultFailed("trace.cache.write"))
         return false;
-    return writeFileAtomic(path, serializeTrace(t));
+    AtomicFileWriter w(path, /*durable=*/false);
+    return encodeTrace(t, [&w](const uint8_t* d, size_t n) {
+        return w.write(d, n);
+    }) && w.commit();
 }
 
 bool

@@ -23,13 +23,29 @@
 
 namespace constable {
 
-/** Bumped whenever the on-disk encoding (or the hashed spec field set)
- *  changes; stale cache files then fail to load and are regenerated. */
+/** Version of the run-result, lease and spec-hash encodings. Bumped
+ *  whenever one of them (or the hashed spec field set) changes. Traces
+ *  carry their own kTraceVersion. */
 inline constexpr uint32_t kSerializeVersion = 1;
 
 // ------------------------------------------------------------------ traces
 
-/** Encode a trace (byte-stable: same trace -> same bytes). */
+/** Version of the trace encoding. A cache file of another version fails
+ *  to load and is regenerated under the same path (the spec hash does not
+ *  cover it). 1: 40-byte op records with a branch target; 2: 32-byte op
+ *  records. */
+inline constexpr uint32_t kTraceVersion = 2;
+
+/** Bytes per encoded micro-op: the MicroOp fields in declaration order,
+ *  little-endian, the same 32 bytes the record occupies in memory. */
+inline constexpr size_t kTraceOpRecordBytes = 32;
+
+/** Largest chunk the streaming trace encoder hands a sink at once: the
+ *  bound on the extra memory saving or hashing a trace takes. */
+inline constexpr size_t kTraceChunkBytes = size_t { 1 } << 20;
+
+/** Encode a trace (byte-stable: same trace -> same bytes). saveTrace and
+ *  traceContentHash stream the same bytes without materialising them. */
 std::vector<uint8_t> serializeTrace(const Trace& t);
 
 /** Decode; returns false (leaving out untouched on header failures) on any
@@ -40,7 +56,9 @@ bool deserializeTrace(const std::vector<uint8_t>& bytes, Trace& out);
 bool deserializeTrace(const uint8_t* bytes, size_t n, Trace& out);
 
 /** Write atomically (tmp file + rename), so readers never observe a
- *  half-written cache entry. Returns false on I/O failure. */
+ *  half-written cache entry. The encoding streams to the tmp file in
+ *  chunks of at most kTraceChunkBytes, so saving holds no whole-file
+ *  buffer. Returns false on I/O failure. */
 bool saveTrace(const std::string& path, const Trace& t);
 
 /**
@@ -51,6 +69,8 @@ bool saveTrace(const std::string& path, const Trace& t);
  * rename (and the directory after it), so a renamed file survives a crash
  * with its full contents — the invariant the sharded-sweep merge relies
  * on: a visible cell file is either complete or fails its checksum.
+ * This is the one-chunk case of the streaming writer saveTrace uses; both
+ * pass the atomic.* fault points in the same order.
  */
 bool writeFileAtomic(const std::string& path,
                      const std::vector<uint8_t>& bytes,
@@ -176,13 +196,14 @@ std::string hex16(uint64_t v);
  *  and directory names). */
 std::string sanitizeFileName(std::string name);
 
-/** Content hash of a trace's serialized bytes: the checkpoint-key analogue
- *  of specHash() for hand-built (Suite::fromTraces) workloads. */
+/** Content hash of a trace's serialized bytes (fnv1a of serializeTrace,
+ *  computed while streaming, without the buffer): the checkpoint-key
+ *  analogue of specHash() for hand-built (Suite::fromTraces) workloads. */
 uint64_t traceContentHash(const Trace& t);
 
 /**
- * Content hash over every WorkloadSpec field (and the serialization
- * version): the trace-cache key. Two specs that would generate different
+ * Content hash over every WorkloadSpec field (and kSerializeVersion):
+ * the trace-cache key. Two specs that would generate different
  * traces hash differently; in particular targetOps is covered, so changing
  * CONSTABLE_TRACE_OPS never serves a stale cached trace.
  */

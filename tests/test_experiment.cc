@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/env.hh"
@@ -57,6 +58,68 @@ twoSpecs(size_t ops = 1500)
     auto specs = smokeSuite(ops);
     specs.resize(2);
     return specs;
+}
+
+/** Byte offset of the first op record in a trace encoding. */
+size_t
+firstOpOffset(const Trace& t)
+{
+    return 4 + 4 + (4 + t.name.size()) + (4 + t.category.size()) + 4 + 8;
+}
+
+/** Recompute the trailing checksum after an edit, so only the decoder's
+ *  own field checks stand between the bytes and the core. */
+void
+reseal(std::vector<uint8_t>& bytes)
+{
+    size_t n = bytes.size() - 8;
+    uint64_t h = fnv1a(bytes.data(), n);
+    for (int i = 0; i < 8; ++i)
+        bytes[n + i] = static_cast<uint8_t>(h >> (8 * i));
+}
+
+/** A trace in trace-format version 1: 40-byte op records that also carried
+ *  a branch target, under the version tag kSerializeVersion had then. */
+std::vector<uint8_t>
+legacyV1TraceBytes(const Trace& t)
+{
+    std::vector<uint8_t> b;
+    auto u8 = [&](uint8_t v) { b.push_back(v); };
+    auto le = [&](uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            b.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    auto str = [&](const std::string& s) {
+        le(s.size(), 4);
+        b.insert(b.end(), s.begin(), s.end());
+    };
+    le(0x43545243, 4); // "CTRC"
+    le(1, 4);
+    str(t.name);
+    str(t.category);
+    le(t.numArchRegs, 4);
+    le(t.ops.size(), 8);
+    for (const MicroOp& op : t.ops) {
+        le(op.pc, 8);
+        u8(static_cast<uint8_t>(op.cls));
+        u8(static_cast<uint8_t>(op.addrMode));
+        for (uint8_t r : op.src)
+            u8(r);
+        u8(op.dst);
+        u8(op.size);
+        le(op.effAddr, 8);
+        le(op.value, 8);
+        u8(op.taken ? 1 : 0);
+        le(0, 8); // branch target
+    }
+    le(t.snoops.size(), 8);
+    for (const SnoopEvent& sn : t.snoops) {
+        le(sn.beforeSeq, 8);
+        le(sn.addr, 8);
+    }
+    le(0, 8);
+    reseal(b);
+    return b;
 }
 
 ExperimentOptions
@@ -115,6 +178,50 @@ TEST(TraceSerialize, RejectsCorruptionAndTruncation)
     auto wrongMagic = bytes;
     wrongMagic[0] ^= 0xff;
     EXPECT_FALSE(deserializeTrace(wrongMagic, out));
+
+    // A resealed file passes the checksum, so the record decoder must
+    // reject every field the core could not interpret or index (src = 40
+    // would index renameMap out of bounds). Offsets are into op 0's record.
+    const size_t op0 = firstOpOffset(t);
+    auto validEdit = bytes;
+    validEdit[op0 + 10] = kMaxArchRegs - 1;
+    reseal(validEdit);
+    EXPECT_TRUE(deserializeTrace(validEdit, out)) << "control edit";
+    struct FieldCase
+    {
+        const char* field;
+        size_t offset;
+        uint8_t value;
+    };
+    const FieldCase cases[] = {
+        { "op class", 8, static_cast<uint8_t>(OpClass::Nop) + 1 },
+        { "address mode", 9, static_cast<uint8_t>(AddrMode::RegRel) + 1 },
+        { "src[0]", 10, 40 },
+        { "src[1]", 11, kMaxArchRegs },
+        { "src[2]", 12, 0xfe },
+        { "dst", 13, 40 },
+        { "size 0", 14, 0 },
+        { "size 9", 14, 9 },
+        { "taken", 15, 2 },
+    };
+    for (const FieldCase& c : cases) {
+        auto bad = bytes;
+        bad[op0 + c.offset] = c.value;
+        reseal(bad);
+        EXPECT_FALSE(deserializeTrace(bad, out)) << c.field;
+    }
+}
+
+TEST(TraceSerialize, OpRecordIsTheInMemoryMicroOp)
+{
+    static_assert(sizeof(MicroOp) == 32 &&
+                  std::is_trivially_copyable_v<MicroOp>);
+    static_assert(sizeof(MicroOp) == kTraceOpRecordBytes);
+    Trace t = generateTrace(twoSpecs()[0]);
+    t.snoops.push_back({ 3, 0x1000 });
+    EXPECT_EQ(serializeTrace(t).size(),
+              firstOpOffset(t) + t.ops.size() * kTraceOpRecordBytes + 8 +
+                  16 * t.snoops.size() + 8);
 }
 
 TEST(RunResultSerialize, RoundTripPreservesStatsBitExactly)
@@ -237,6 +344,51 @@ TEST_F(TraceCache, CorruptOrTruncatedFilesFallBackToRegeneration)
     // ...and the rewritten files serve hits again.
     Suite warm = Suite::fromSpecs(twoSpecs(), opts);
     EXPECT_EQ(warm.cacheHits(), 2u);
+
+    // A cache directory from before the 32-byte record: the same paths
+    // (the spec hash does not cover the trace version), the previous
+    // encoding. Both entries fail to load and regenerate to a cold build.
+    auto specs = twoSpecs();
+    for (size_t i = 0; i < specs.size(); ++i) {
+        std::string path = traceCachePath(dir, specs[i]);
+        ASSERT_TRUE(
+            writeFileAtomic(path, legacyV1TraceBytes(fresh.trace(i))));
+        Trace stale;
+        EXPECT_FALSE(loadTrace(path, stale));
+    }
+    Suite upgraded = Suite::fromSpecs(specs, opts);
+    EXPECT_EQ(upgraded.cacheMisses(), 2u);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(serializeTrace(upgraded.trace(i)),
+                  serializeTrace(fresh.trace(i)));
+    }
+    EXPECT_EQ(Suite::fromSpecs(specs, opts).cacheHits(), 2u);
+}
+
+// --------------------------------------------------- streamed trace encoding
+
+class TraceStream : public TempDirTest
+{};
+
+TEST_F(TraceStream, SavedFileAndContentHashMatchTheBufferedEncoding)
+{
+    WorkloadSpec spec = twoSpecs()[0];
+    spec.targetOps = 3 * kTraceChunkBytes / kTraceOpRecordBytes;
+    Trace t = generateTrace(spec);
+    t.snoops.push_back({ 5, 0xdeadbe00 });
+    auto bytes = serializeTrace(t);
+    ASSERT_GT(bytes.size(), 3 * kTraceChunkBytes); // several chunks
+
+    std::string path = dir + "/multi-chunk.trace";
+    ASSERT_TRUE(saveTrace(path, t));
+    std::vector<uint8_t> onDisk;
+    ASSERT_TRUE(readFileBytes(path, onDisk));
+    EXPECT_EQ(onDisk, bytes);
+    EXPECT_EQ(traceContentHash(t), fnv1a(bytes.data(), bytes.size()));
+
+    Trace back;
+    ASSERT_TRUE(loadTrace(path, back));
+    EXPECT_EQ(serializeTrace(back), bytes);
 }
 
 // --------------------------------------------------------- checkpoint/resume

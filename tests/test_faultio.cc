@@ -2,10 +2,10 @@
  * @file
  * Tests for the deterministic fault-injection shim (common/faultio.hh):
  * plan grammar + fatal diagnostics, fail-N eio/enospc semantics, torn-write
- * arming and its writeFileAtomic integration, crash-once markers, clock
- * skew, seeded backoff determinism, the retry absorber, and thread-safety
- * of the armed counters (this file is part of the TSan CI subset — keep
- * "Fault" in every test suite name).
+ * arming and its writeFileAtomic and streamed saveTrace integration,
+ * crash-once markers, clock skew, seeded backoff determinism, the retry
+ * absorber, and thread-safety of the armed counters (this file is part of
+ * the TSan CI subset — keep "Fault" in every test suite name).
  */
 
 #include <gtest/gtest.h>
@@ -176,6 +176,26 @@ TEST_F(FaultIoTest, TornWriteCommitsHalfThePayloadButReportsSuccess)
     EXPECT_TRUE(writeFileAtomic(path, payload));
     ASSERT_TRUE(readFileBytes(path, back));
     EXPECT_EQ(back.size(), payload.size());
+}
+
+TEST_F(FaultIoTest, TornStreamedTraceSaveCommitsHalfAndFailsToLoad)
+{
+    // The save streams several encoder chunks through one atomic writer,
+    // and the torn write cuts the whole file, not one chunk.
+    Trace t;
+    t.name = "torn";
+    t.ops.resize(2 * kTraceChunkBytes / kTraceOpRecordBytes + 7);
+    for (size_t i = 0; i < t.ops.size(); ++i)
+        t.ops[i].pc = i;
+    std::string path = dir + "/torn.trace";
+    installFaultPlan("trace.cache.write:torn@1");
+    EXPECT_TRUE(saveTrace(path, t)); // silent corruption
+    EXPECT_EQ(fs::file_size(path), serializeTrace(t).size() / 2);
+    Trace back;
+    EXPECT_FALSE(loadTrace(path, back));
+    EXPECT_TRUE(saveTrace(path, t)); // the next save heals
+    EXPECT_TRUE(loadTrace(path, back));
+    EXPECT_EQ(back.ops.size(), t.ops.size());
 }
 
 // ------------------------------------------------------------ crash points

@@ -208,6 +208,20 @@ TEST_P(GeneratorCategory, TraceIsValidAndSized)
     EXPECT_GT(t.countClass(OpClass::Load), t.size() / 10);
 }
 
+TEST_P(GeneratorCategory, ReservesItsFinalSizeUpFront)
+{
+    // The op vector is sized once for targetOps plus one sub-round's
+    // overshoot: no regrowth copies, and no doubled capacity left behind.
+    for (size_t ops : { 2'000u, 20'000u, 60'000u }) {
+        WorkloadSpec spec = smokeSuite(ops)[GetParam()];
+        Trace t = generateTrace(spec);
+        size_t slack = maxTraceOvershoot(spec);
+        EXPECT_LE(t.size(), ops + slack) << t.name;
+        EXPECT_LE(t.ops.capacity() - t.size(), slack) << t.name;
+        EXPECT_LT(slack, ops / 10) << t.name;
+    }
+}
+
 TEST_P(GeneratorCategory, Deterministic)
 {
     auto specs = smokeSuite(5'000);

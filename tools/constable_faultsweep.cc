@@ -24,6 +24,14 @@
  * exited loudly nonzero (a detected, reported failure). It FAILS on a
  * silent fingerprint mismatch, or when the armed fault never fired (a
  * registry entry whose call site has gone dead).
+ *
+ * The atomic.* points run a second, cold-trace-cache leg per action, so
+ * the fault reaches saveTrace's streaming writer (the child's first atomic
+ * writes are then trace saves). After it, a fault-free verify launch on a
+ * fresh checkpoint directory reads the trace cache the faulted run left
+ * behind and must reproduce the baseline fingerprint. Any trace file the
+ * fault left unreadable must be reported as regenerated and load again
+ * afterwards. A torn leg must leave at least one such torn trace file.
  */
 
 #include <cstdio>
@@ -38,6 +46,7 @@
 #include "sim/experiment.hh"
 #include "sim/scenario.hh"
 #include "sim/shard.hh"
+#include "trace/serialize.hh"
 #include "workloads/suite.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -110,7 +119,12 @@ runSweepChild()
     auto specs = smokeSuite(opts.traceOps);
     if (specs.size() > opts.suiteLimit)
         specs.resize(opts.suiteLimit);
-    Suite suite = Suite::fromSpecs(std::move(specs), opts,
+    // Serial preparation: against a cold trace cache the trace saves are
+    // then the first atomic writes, in a fixed order on one thread, so a
+    // torn write deterministically lands on a trace file.
+    ExperimentOptions prep = opts;
+    prep.threads = 1;
+    Suite suite = Suite::fromSpecs(std::move(specs), prep,
                                    /*inspect=*/true);
     Experiment exp("faultsweep", suite, opts);
     exp.addPreset("baseline");
@@ -301,6 +315,112 @@ launchChild(const char* self, const char* mode, const std::string& plan,
     return r;
 }
 
+/** Trace-cache entries under @p dir that fail to load (torn, corrupt or
+ *  stale). */
+size_t
+unreadableTraces(const std::string& dir)
+{
+    size_t n = 0;
+    std::error_code ec;
+    for (const auto& e : fs::directory_iterator(dir, ec)) {
+        Trace t;
+        if (e.path().extension() == ".trace" &&
+            !loadTrace(e.path().string(), t))
+            ++n;
+    }
+    return n;
+}
+
+struct Leg
+{
+    bool ok = false;
+    std::string note;   ///< parenthesised outcome for the report line
+    std::string plan;
+    std::string runDir;
+};
+
+/**
+ * One (point, action) run: launch with the fault armed, re-launching after
+ * injected crashes. @p traceDir empty means a cold trace cache of the
+ * leg's own. With @p verify, a fault-free launch then re-runs on the trace
+ * cache the faulted run left (see the file comment).
+ */
+Leg
+runLeg(const char* self, const std::string& scratch, const char* mode,
+       const char* point, const std::string& action, std::string traceDir,
+       bool verify, uint64_t want)
+{
+    Leg leg;
+    leg.plan = std::string(point) + ":" + action + "@1";
+    if (action == "skew")
+        leg.plan = std::string(point) + ":skew@400";
+    leg.runDir = scratch + "/run-" + sanitizeFileName(leg.plan) +
+                 (verify ? "-cold" : "");
+    const std::string& runDir = leg.runDir;
+    std::string markerDir = runDir + "/markers";
+    std::string ckptDir = runDir + "/ckpt";
+    if (traceDir.empty())
+        traceDir = runDir + "/traces";
+    fs::create_directories(markerDir);
+    fs::create_directories(ckptDir);
+    fs::create_directories(traceDir);
+
+    bool crashed = false, loud = false, silent = false;
+    bool recovered = false;
+    uint64_t hits = 0;
+    for (unsigned launch = 0; launch < kLaunchesPerRun; ++launch) {
+        LaunchResult r = launchChild(self, mode, leg.plan, point, markerDir,
+                                     ckptDir, traceDir, runDir + "/log.txt");
+        if (r.exitCode == kFaultCrashExitCode) {
+            crashed = true;
+            continue; // relaunch into the same directories
+        }
+        hits = r.armedHits;
+        if (r.exitCode == 0 && r.haveFingerprint) {
+            recovered = r.fingerprint == want;
+            silent = !recovered;
+        } else {
+            loud = true; // detected + reported, not silent
+        }
+        break;
+    }
+
+    bool exercised = crashed || hits > 0;
+    leg.ok = exercised && !silent && (recovered || loud);
+    if (crashed && !recovered && !loud)
+        leg.ok = false; // crash-looped through every launch
+    leg.note = !exercised ? " (fault never fired)"
+               : silent   ? " (silent fingerprint mismatch)"
+               : loud     ? " (loud nonzero exit)"
+               : crashed  ? " (crash + relaunch recovered)"
+                          : "";
+    if (!verify || !leg.ok)
+        return leg;
+
+    // The faulted run's trace cache must not poison a later run.
+    size_t torn = unreadableTraces(traceDir);
+    std::string log = runDir + "/verify-log.txt";
+    LaunchResult v = launchChild(self, mode, "", "", markerDir,
+                                 runDir + "/verify-ckpt", traceDir, log);
+    std::string text;
+    readFileText(log, text);
+    bool reported = text.find("present but unreadable; regenerated") !=
+                    std::string::npos;
+    if (v.exitCode != 0 || !v.haveFingerprint || v.fingerprint != want) {
+        leg.ok = false;
+        leg.note = " (verify run diverged from the baseline)";
+    } else if (action == "torn" && torn == 0) {
+        leg.ok = false;
+        leg.note = " (torn write left no torn trace file)";
+    } else if (torn > 0 && (!reported || unreadableTraces(traceDir) != 0)) {
+        leg.ok = false;
+        leg.note = " (unreadable trace file not regenerated)";
+    } else if (torn > 0) {
+        leg.note += " (" + std::to_string(torn) + " torn trace regenerated)";
+    }
+    return leg;
+}
+
 int
 runDriver(const char* self)
 {
@@ -331,66 +451,33 @@ runDriver(const char* self)
     std::vector<std::string> failures;
     for (const FaultPointInfo& p : faultPointTable()) {
         bool fleetPoint = std::strncmp(p.name, "fleet.", 6) == 0;
+        bool atomicPoint = std::strncmp(p.name, "atomic.", 7) == 0;
         const char* mode = fleetPoint ? "--run-fleet" : "--run-sweep";
         uint64_t want = baseFp[fleetPoint ? 1 : 0];
         for (const std::string& action : actionsFor(p.kind)) {
-            std::string plan = std::string(p.name) + ":" + action + "@1";
-            if (action == "skew")
-                plan = std::string(p.name) + ":skew@400";
-            std::string runDir = scratch + "/run-" +
-                                 sanitizeFileName(plan);
-            std::string markerDir = runDir + "/markers";
-            std::string ckptDir = runDir + "/ckpt";
-            fs::create_directories(markerDir);
-            fs::create_directories(ckptDir);
-            // A write fault must see a write: arm trace.cache.write
+            // A write fault must see a write: arm the trace-cache points
+            // (trace.cache.write always, the others for non-eio actions)
             // against a cold cache so saveTrace actually runs.
-            std::string traceDir =
-                std::strncmp(p.name, "trace.cache", 11) == 0 &&
-                        action != "eio"
-                    ? runDir + "/traces"
-                    : warmTraces;
-            if (std::strcmp(p.name, "trace.cache.write") == 0)
-                traceDir = runDir + "/traces";
-            fs::create_directories(traceDir);
-
-            bool crashed = false, loud = false, silent = false;
-            bool recovered = false;
-            uint64_t hits = 0;
-            for (unsigned launch = 0; launch < kLaunchesPerRun; ++launch) {
-                LaunchResult r = launchChild(
-                    self, mode, plan, p.name, markerDir, ckptDir, traceDir,
-                    runDir + "/log.txt");
-                if (r.exitCode == kFaultCrashExitCode) {
-                    crashed = true;
-                    continue; // relaunch into the same directories
-                }
-                hits = r.armedHits;
-                if (r.exitCode == 0 && r.haveFingerprint) {
-                    recovered = r.fingerprint == want;
-                    silent = !recovered;
+            bool cold = std::strcmp(p.name, "trace.cache.write") == 0 ||
+                        (std::strncmp(p.name, "trace.cache", 11) == 0 &&
+                         action != "eio");
+            std::vector<bool> legs = { cold };
+            if (atomicPoint)
+                legs.push_back(true);
+            for (bool coldLeg : legs) {
+                bool verify = atomicPoint && coldLeg;
+                Leg leg = runLeg(self, scratch, mode, p.name, action,
+                                 coldLeg ? "" : warmTraces, verify, want);
+                std::string tag = action + (verify ? "/cold" : "");
+                std::printf("%-28s %-10s %s%s\n", p.name, tag.c_str(),
+                            leg.ok ? "PASS" : "FAIL", leg.note.c_str());
+                if (leg.ok) {
+                    ++pass;
                 } else {
-                    loud = true; // detected + reported, not silent
+                    ++fail;
+                    failures.push_back(leg.plan + (verify ? " (cold)" : "") +
+                                       " — see " + leg.runDir + "/log.txt");
                 }
-                break;
-            }
-
-            bool exercised = crashed || hits > 0;
-            bool ok = exercised && !silent && (recovered || loud);
-            if (crashed && !recovered && !loud)
-                ok = false; // crash-looped through every launch
-            std::printf("%-28s %-6s %s%s\n", p.name, action.c_str(),
-                        ok ? "PASS" : "FAIL",
-                        !exercised        ? " (fault never fired)"
-                        : silent          ? " (silent fingerprint mismatch)"
-                        : loud            ? " (loud nonzero exit)"
-                        : crashed         ? " (crash + relaunch recovered)"
-                                          : "");
-            if (ok) {
-                ++pass;
-            } else {
-                ++fail;
-                failures.push_back(plan + " — see " + runDir + "/log.txt");
             }
         }
     }
