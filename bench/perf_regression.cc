@@ -18,18 +18,21 @@
  * are force-disabled so every cell really simulates.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
+#include "trace/serialize.hh"
 
 namespace constable {
 namespace {
@@ -57,6 +60,7 @@ struct PresetTiming
     uint64_t instructions = 0;
     uint64_t cycles = 0;
     double wallSeconds = 0.0;
+    uint64_t fingerprint = 0; ///< MatrixResult::fingerprint() of the run
 
     double mopsPerSec() const
     {
@@ -72,38 +76,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)
         .count();
-}
-
-/**
- * Minimal value extractor for the JSON this bench itself emits: finds
- * "key":<number> after position pos. Good enough for the regression gate
- * without a JSON dependency.
- */
-bool
-extractNumber(const std::string& json, const std::string& key, size_t pos,
-              double& out)
-{
-    std::string needle = "\"" + key + "\":";
-    size_t at = json.find(needle, pos);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(json.c_str() + at + needle.size(), nullptr);
-    return true;
-}
-
-bool
-readWholeFile(const std::string& path, std::string& out)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    std::fseek(f, 0, SEEK_END);
-    long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    out.resize(sz > 0 ? static_cast<size_t>(sz) : 0);
-    size_t got = std::fread(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    return got == out.size();
 }
 
 } // namespace
@@ -183,34 +155,38 @@ perfMain(int argc, char** argv)
         { "rfp+constable", mechFor("rfp+constable") },
     };
 
-    std::vector<PresetTiming> timings;
-    uint64_t determinism = 0;
-    for (const auto& [name, mech] : presets) {
-        Experiment exp("perf_" + name, suite, opts);
+    // Best-of-repeats wall time of one preset over the suite; repeats are
+    // identical, so the first run supplies the counts and fingerprint.
+    auto timePreset = [&](const std::string& exp_name, const std::string& name,
+                          const MechanismConfig& mech,
+                          const ExperimentOptions& o) {
+        Experiment exp(exp_name, suite, o);
         exp.add(name, mech);
-
         PresetTiming t;
         t.name = name;
         t.cells = suite.size();
-        double best = -1.0;
         for (unsigned rep = 0; rep < flags.repeats; ++rep) {
             auto t0 = std::chrono::steady_clock::now();
             ExperimentResult res = exp.run();
             double secs = secondsSince(t0);
-            if (best < 0.0 || secs < best) {
-                best = secs;
-                t.instructions = 0;
-                t.cycles = 0;
-                for (size_t row = 0; row < res.numRows(); ++row) {
-                    t.instructions += res.at(row, 0).instructions;
-                    t.cycles += res.at(row, 0).cycles;
-                }
+            t.wallSeconds = rep == 0 ? secs : std::min(t.wallSeconds, secs);
+            if (rep != 0)
+                continue;
+            t.fingerprint = res.matrix().fingerprint();
+            for (size_t row = 0; row < res.numRows(); ++row) {
+                t.instructions += res.at(row, 0).instructions;
+                t.cycles += res.at(row, 0).cycles;
             }
-            if (rep == 0) // repeats are identical; fold each preset once
-                determinism ^= res.totalCycles();
         }
-        t.wallSeconds = best;
-        timings.push_back(t);
+        return t;
+    };
+
+    std::vector<PresetTiming> timings;
+    uint64_t determinism = 0;
+    for (const auto& [name, mech] : presets) {
+        const PresetTiming& t =
+            timings.emplace_back(timePreset("perf_" + name, name, mech, opts));
+        determinism ^= t.fingerprint;
         std::printf("%-18s %6.3fs  %8.2f Mops/s  (%zu cells, %llu insts)\n",
                     name.c_str(), t.wallSeconds, t.mopsPerSec(), t.cells,
                     static_cast<unsigned long long>(t.instructions));
@@ -238,7 +214,7 @@ perfMain(int argc, char** argv)
     // "Sampled simulation").
     std::vector<PresetTiming> sampledTimings;
     SampleOptions sampleSpec;
-    double sampledSecs = 0.0, sampledMops = 0.0;
+    double sampledSecs = 0.0, sampledMops = 0.0, sampledSpeedup = 0.0;
     if (flags.sampledLeg) {
         sampleSpec = flags.sampledSpec.empty()
                          ? [] {
@@ -251,28 +227,8 @@ perfMain(int argc, char** argv)
         sopts.sample = sampleSpec;
         uint64_t sampledInsts = 0;
         for (const auto& [name, mech] : presets) {
-            Experiment exp("perf_sampled_" + name, suite, sopts);
-            exp.add(name, mech);
-            PresetTiming t;
-            t.name = name;
-            t.cells = suite.size();
-            double best = -1.0;
-            for (unsigned rep = 0; rep < flags.repeats; ++rep) {
-                auto t0 = std::chrono::steady_clock::now();
-                ExperimentResult res = exp.run();
-                double secs = secondsSince(t0);
-                if (best < 0.0 || secs < best) {
-                    best = secs;
-                    t.instructions = 0;
-                    t.cycles = 0;
-                    for (size_t row = 0; row < res.numRows(); ++row) {
-                        t.instructions += res.at(row, 0).instructions;
-                        t.cycles += res.at(row, 0).cycles;
-                    }
-                }
-            }
-            t.wallSeconds = best;
-            sampledTimings.push_back(t);
+            const PresetTiming& t = sampledTimings.emplace_back(
+                timePreset("perf_sampled_" + name, name, mech, sopts));
             sampledSecs += t.wallSeconds;
             sampledInsts += t.instructions;
             std::printf("%-18s %6.3fs  %8.2f eff-Mops/s  (sampled)\n",
@@ -282,10 +238,10 @@ perfMain(int argc, char** argv)
                           ? 0.0
                           : static_cast<double>(sampledInsts) /
                                 sampledSecs / 1e6;
+        sampledSpeedup = totalMops > 0.0 ? sampledMops / totalMops : 0.0;
         std::printf("sampled total      %6.3fs  %8.2f eff-Mops/s  "
                     "(%.2fx vs full, spec %s)\n",
-                    sampledSecs, sampledMops,
-                    totalMops > 0.0 ? sampledMops / totalMops : 0.0,
+                    sampledSecs, sampledMops, sampledSpeedup,
                     sampleSpec.spec().c_str());
     }
 
@@ -293,7 +249,7 @@ perfMain(int argc, char** argv)
     // Times the combined preset sweep once serially and once forked across
     // N single-threaded worker processes (sim/shard.hh), verifying the
     // results agree, so the perf trajectory records what each shard buys.
-    double scaleSerialSecs = 0.0, scaleShardedSecs = 0.0;
+    double scaleSerialSecs = 0.0, scaleShardedSecs = 0.0, scaleSpeedup = 0.0;
     if (flags.shardScaling > 1) {
         auto combined = [&](const ExperimentOptions& o) {
             Experiment exp("perf_shard_scaling", suite, o);
@@ -315,14 +271,14 @@ perfMain(int argc, char** argv)
         ExperimentResult sres = combined(sharded);
         scaleShardedSecs = secondsSince(t0);
 
-        if (sres.totalCycles() != sref.totalCycles())
+        if (sres.matrix().fingerprint() != sref.matrix().fingerprint())
             fatal("sharded sweep diverged from the serial reference");
+        scaleSpeedup =
+            scaleShardedSecs > 0.0 ? scaleSerialSecs / scaleShardedSecs : 0.0;
         std::printf("shard scaling      %u procs: %6.3fs vs %6.3fs serial "
                     "(%.2fx)\n",
                     flags.shardScaling, scaleShardedSecs, scaleSerialSecs,
-                    scaleShardedSecs > 0.0
-                        ? scaleSerialSecs / scaleShardedSecs
-                        : 0.0);
+                    scaleSpeedup);
         unsigned cpus = std::thread::hardware_concurrency();
         if (cpus != 0 && cpus < flags.shardScaling) {
             std::printf("  (note: only %u CPU%s visible — CPU-bound cells "
@@ -334,77 +290,45 @@ perfMain(int argc, char** argv)
     }
 
     // ------------------------------------------------------------- JSON out
-    std::string json = "{\n  \"schema\": \"constable-perf-v1\",\n";
-    {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "  \"suite\": {\"workloads\":%zu, \"trace_ops\":%zu, "
-                      "\"threads\":%u, \"repeats\":%u},\n",
-                      suite.size(), opts.traceOps, opts.threads,
-                      flags.repeats);
-        json += buf;
-        json += "  \"presets\": [\n";
-        for (size_t i = 0; i < timings.size(); ++i) {
-            const PresetTiming& t = timings[i];
-            std::snprintf(
-                buf, sizeof(buf),
-                "    {\"name\":\"%s\", \"cells\":%zu, "
-                "\"instructions\":%llu, \"cycles\":%llu, "
-                "\"wall_seconds\":%.6f, \"mops_per_sec\":%.3f}%s\n",
-                t.name.c_str(), t.cells,
-                static_cast<unsigned long long>(t.instructions),
-                static_cast<unsigned long long>(t.cycles), t.wallSeconds,
-                t.mopsPerSec(), i + 1 < timings.size() ? "," : "");
-            json += buf;
-        }
-        json += "  ],\n";
-        if (flags.shardScaling > 1) {
-            std::snprintf(
-                buf, sizeof(buf),
-                "  \"shard_scaling\": {\"shards\":%u, \"host_cpus\":%u, "
-                "\"serial_seconds\":%.6f, \"sharded_seconds\":%.6f, "
-                "\"speedup\":%.3f},\n",
-                flags.shardScaling, std::thread::hardware_concurrency(),
-                scaleSerialSecs, scaleShardedSecs,
-                scaleShardedSecs > 0.0 ? scaleSerialSecs / scaleShardedSecs
-                                       : 0.0);
-            json += buf;
-        }
-        if (flags.sampledLeg) {
-            std::snprintf(buf, sizeof(buf),
-                          "  \"sampled\": {\"spec\":\"%s\", \"presets\": [\n",
-                          sampleSpec.spec().c_str());
-            json += buf;
-            for (size_t i = 0; i < sampledTimings.size(); ++i) {
-                const PresetTiming& t = sampledTimings[i];
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "    {\"name\":\"%s\", \"wall_seconds\":%.6f, "
-                    "\"effective_mops_per_sec\":%.3f}%s\n",
-                    t.name.c_str(), t.wallSeconds, t.mopsPerSec(),
-                    i + 1 < sampledTimings.size() ? "," : "");
-                json += buf;
-            }
-            std::snprintf(
-                buf, sizeof(buf),
-                "  ], \"wall_seconds\":%.6f, "
-                "\"effective_mops_per_sec\":%.3f, "
-                "\"speedup_vs_full\":%.3f},\n",
-                sampledSecs, sampledMops,
-                totalMops > 0.0 ? sampledMops / totalMops : 0.0);
-            json += buf;
-        }
-        std::snprintf(buf, sizeof(buf),
-                      "  \"total\": {\"wall_seconds\":%.6f, "
-                      "\"mops_per_sec\":%.3f}\n}\n",
-                      totalSecs, totalMops);
-        json += buf;
+    JsonWriter w(2);
+    w.beginObject().key("schema").str("constable-perf-v1").key("suite");
+    w.beginObject().key("workloads").u64(suite.size());
+    w.key("trace_ops").u64(opts.traceOps).key("threads").u64(opts.threads);
+    w.key("repeats").u64(flags.repeats).endObject();
+    w.key("presets").beginArray();
+    for (const PresetTiming& t : timings) {
+        w.beginObject().key("name").str(t.name).key("cells").u64(t.cells);
+        w.key("instructions").u64(t.instructions).key("cycles").u64(t.cycles);
+        w.key("wall_seconds").f64(t.wallSeconds, 6);
+        w.key("mops_per_sec").f64(t.mopsPerSec(), 3).endObject();
     }
-    std::FILE* out = std::fopen(flags.jsonOut.c_str(), "wb");
-    if (!out)
+    w.endArray();
+    if (flags.shardScaling > 1) {
+        w.key("shard_scaling").beginObject();
+        w.key("shards").u64(flags.shardScaling);
+        w.key("host_cpus").u64(std::thread::hardware_concurrency());
+        w.key("serial_seconds").f64(scaleSerialSecs, 6);
+        w.key("sharded_seconds").f64(scaleShardedSecs, 6);
+        w.key("speedup").f64(scaleSpeedup, 3).endObject();
+    }
+    if (flags.sampledLeg) {
+        w.key("sampled").beginObject().key("spec").str(sampleSpec.spec());
+        w.key("presets").beginArray();
+        for (const PresetTiming& t : sampledTimings) {
+            w.beginObject().key("name").str(t.name);
+            w.key("wall_seconds").f64(t.wallSeconds, 6);
+            w.key("effective_mops_per_sec").f64(t.mopsPerSec(), 3).endObject();
+        }
+        w.endArray().key("wall_seconds").f64(sampledSecs, 6);
+        w.key("effective_mops_per_sec").f64(sampledMops, 3);
+        w.key("speedup_vs_full").f64(sampledSpeedup, 3).endObject();
+    }
+    w.key("total").beginObject().key("wall_seconds").f64(totalSecs, 6);
+    w.key("mops_per_sec").f64(totalMops, 3).endObject().endObject();
+    std::string json = w.take();
+    if (!writeFileAtomic(flags.jsonOut,
+                         std::vector<uint8_t>(json.begin(), json.end())))
         fatal("cannot write " + flags.jsonOut);
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
     std::printf("wrote %s\n", flags.jsonOut.c_str());
 
     // ------------------------------------------------------ regression gate
@@ -413,33 +337,37 @@ perfMain(int argc, char** argv)
     // barely moves the 6-preset total, and the total-only gate used to
     // let exactly that class of slowdown through.
     if (!flags.checkAgainst.empty()) {
-        std::string baseline;
-        if (!readWholeFile(flags.checkAgainst, baseline))
+        std::string text;
+        JsonValue baseline;
+        if (!readFileText(flags.checkAgainst, text))
             fatal("cannot read baseline " + flags.checkAgainst);
-        size_t totalAt = baseline.find("\"total\"");
         double baseMops = 0.0;
-        if (totalAt == std::string::npos ||
-            !extractNumber(baseline, "mops_per_sec", totalAt, baseMops))
+        const JsonValue* total = nullptr;
+        if (!parseJson(text, baseline) ||
+            !(total = baseline.find("total")) ||
+            !total->get("mops_per_sec", baseMops))
             fatal("baseline " + flags.checkAgainst +
                   " has no total mops_per_sec");
         int regressions = 0;
-        // Full-fidelity presets only: scope the per-preset lookup to the
-        // first "presets" array so the sampled section's entries (which
-        // share names) can never be mistaken for baselines.
-        size_t presetsAt = baseline.find("\"presets\"");
-        size_t presetsEnd = presetsAt == std::string::npos
-                                ? std::string::npos
-                                : baseline.find(']', presetsAt);
+        // Full-fidelity presets only: the top-level "presets" array, never
+        // the sampled section's entries (which share names).
+        std::map<std::string, double> baseOf;
+        if (const JsonValue* presets = baseline.find("presets")) {
+            for (const JsonValue& e : presets->items) {
+                std::string name;
+                double mops;
+                if (e.get("name", name) && e.get("mops_per_sec", mops))
+                    baseOf.emplace(name, mops);
+            }
+        }
         for (const PresetTiming& t : timings) {
-            size_t at = baseline.find("\"name\":\"" + t.name + "\"",
-                                      presetsAt);
-            double base = 0.0;
-            if (at == std::string::npos || at > presetsEnd ||
-                !extractNumber(baseline, "mops_per_sec", at, base)) {
+            auto it = baseOf.find(t.name);
+            if (it == baseOf.end()) {
                 std::printf("  %-18s no baseline entry; skipped\n",
                             t.name.c_str());
                 continue;
             }
+            double base = it->second;
             double presetFloor = base * (1.0 - flags.maxRegression);
             std::printf("  %-18s current %8.2f vs baseline %8.2f Mops/s "
                         "(floor %8.2f)%s\n",

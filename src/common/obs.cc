@@ -1,6 +1,7 @@
 #include "common/obs.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/faultio.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -130,32 +132,6 @@ appendSpanLocked(Lane& lane, const SpanRec& s)
     lane.spans.push_back(s);
 }
 
-/** JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Atomic whole-file write: tmp + rename. This is src/common, below the
  *  faultio shim's clients — obs output is diagnostics, not simulated
  *  state, so it deliberately does not route through fault injection. */
@@ -196,25 +172,15 @@ readAll(const std::string& path, std::string& out)
     return ok;
 }
 
-/** Lenient digit-run parser for partial/status payloads: corrupt input
- *  must fail the merge, not fatal() the coordinator (env.hh's strict
- *  parsers are for operator-supplied knobs). */
+/** Lenient decimal parser for partial files: corrupt input must fail the
+ *  merge, not fatal() the coordinator (env.hh's strict parsers are for
+ *  operator-supplied knobs). No sign, no base prefix, no overflow. */
 bool
 parseU64Field(const std::string& s, uint64_t& out)
 {
-    if (s.empty())
-        return false;
-    uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        uint64_t d = static_cast<uint64_t>(c - '0');
-        if (v > (UINT64_MAX - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
+    const char* end = s.data() + s.size();
+    auto r = std::from_chars(s.data(), end, out);
+    return r.ec == std::errc() && r.ptr == end;
 }
 
 void
@@ -342,78 +308,23 @@ progressEmitLocked(ProgressState& p, bool final)
     // never a torn file.
     if (!p.statusPath.empty() &&
         (final || nowUs - p.lastStatusUs >= 1'000'000ull)) {
-        char buf[768];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"experiment\":\"%s\",\"state\":\"%s\","
-            "\"cells_done\":%zu,\"cells_total\":%zu,"
-            "\"cells_computed\":%zu,\"cells_reused\":%zu,"
-            "\"mops\":%.3f,\"eta_sec\":%llu,\"elapsed_sec\":%.1f,"
-            "\"owner\":\"pid-%llu\",\"updated_unix_sec\":%llu}\n",
-            jsonEscape(p.label).c_str(), final ? "done" : "running", done,
-            p.total, computed, p.reused, rollingMops,
-            static_cast<unsigned long long>(etaSec), elapsedSec,
-            static_cast<unsigned long long>(processId()),
-            static_cast<unsigned long long>(unixNowSec()));
-        writeAtomic(p.statusPath, buf);
+        JsonWriter w;
+        w.beginObject()
+            .key("experiment").str(p.label)
+            .key("state").str(final ? "done" : "running")
+            .key("cells_done").u64(done)
+            .key("cells_total").u64(p.total)
+            .key("cells_computed").u64(computed)
+            .key("cells_reused").u64(p.reused)
+            .key("mops").f64(rollingMops, 3)
+            .key("eta_sec").u64(etaSec)
+            .key("elapsed_sec").f64(elapsedSec, 1)
+            .key("owner").str("pid-" + std::to_string(processId()))
+            .key("updated_unix_sec").u64(unixNowSec())
+            .endObject();
+        writeAtomic(p.statusPath, w.take());
         p.lastStatusUs = nowUs;
     }
-}
-
-/** Minimal flat-JSON field readers for obsFormatStatus (the schema is
- *  ours and flat; a full parser would be overkill). */
-bool
-jsonNumField(const std::string& json, const std::string& key, double& out)
-{
-    size_t at = json.find("\"" + key + "\":");
-    if (at == std::string::npos)
-        return false;
-    at += key.size() + 3;
-    // Parse manually: digits, optional '.', digits (no strtod — keep the
-    // dependency surface tiny and locale-proof).
-    uint64_t ip = 0;
-    size_t i = at;
-    bool any = false;
-    while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-        ip = ip * 10 + static_cast<uint64_t>(json[i] - '0');
-        ++i;
-        any = true;
-    }
-    double v = static_cast<double>(ip);
-    if (i < json.size() && json[i] == '.') {
-        ++i;
-        double scale = 0.1;
-        while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-            v += scale * (json[i] - '0');
-            scale *= 0.1;
-            ++i;
-            any = true;
-        }
-    }
-    if (!any)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-jsonStrField(const std::string& json, const std::string& key,
-             std::string& out)
-{
-    size_t at = json.find("\"" + key + "\":\"");
-    if (at == std::string::npos)
-        return false;
-    at += key.size() + 4;
-    size_t end = at;
-    while (end < json.size() && json[end] != '"') {
-        if (json[end] == '\\')
-            ++end;
-        ++end;
-    }
-    if (end >= json.size())
-        return false;
-    out = json.substr(at, end - at);
-    return true;
 }
 
 } // namespace
@@ -614,83 +525,59 @@ bool
 obsWriteMetrics(const std::string& path)
 {
     Registry& r = reg();
-    std::string out;
+    JsonWriter w(2);
     {
         std::lock_guard<std::mutex> lk(r.mu);
-        out += "{\n  \"counters\": {";
-        bool first = true;
-        for (const auto& [name, c] : r.counters) {
-            out += first ? "\n" : ",\n";
-            out += "    \"" + jsonEscape(name) +
-                   "\": " + std::to_string(c->value());
-            first = false;
-        }
-        out += "\n  },\n  \"gauges\": {";
-        first = true;
-        for (const auto& [name, g] : r.gauges) {
-            out += first ? "\n" : ",\n";
-            out += "    \"" + jsonEscape(name) +
-                   "\": " + std::to_string(g->value());
-            first = false;
-        }
-        out += "\n  },\n  \"histograms\": {";
-        first = true;
+        w.beginObject().key("counters").beginObject();
+        for (const auto& [name, c] : r.counters)
+            w.key(name).u64(c->value());
+        w.endObject().key("gauges").beginObject();
+        for (const auto& [name, g] : r.gauges)
+            w.key(name).u64(g->value());
+        w.endObject().key("histograms").beginObject();
         for (const auto& [name, h] : r.histograms) {
-            out += first ? "\n" : ",\n";
-            out += "    \"" + jsonEscape(name) +
-                   "\": {\"count\": " + std::to_string(h->count()) +
-                   ", \"sum\": " + std::to_string(h->sum()) +
-                   ", \"buckets\": [";
-            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                if (b)
-                    out += ", ";
-                out += std::to_string(h->bucket(b));
-            }
-            out += "]}";
-            first = false;
+            w.key(name).beginObject().key("count").u64(h->count());
+            w.key("sum").u64(h->sum()).key("buckets").beginArray();
+            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b)
+                w.u64(h->bucket(b));
+            w.endArray().endObject();
         }
         uint64_t buffered = 0, dropped = 0;
         for (const auto& l : r.lanes) {
             buffered += l->spans.size();
             dropped += l->dropped;
         }
-        out += "\n  },\n  \"spans\": {\"buffered\": " +
-               std::to_string(buffered) +
-               ", \"dropped\": " + std::to_string(dropped) + "}\n}\n";
+        w.endObject().key("spans").beginObject().key("buffered").u64(buffered);
+        w.key("dropped").u64(dropped).endObject().endObject();
     }
-    return writeAtomic(path, out);
+    return writeAtomic(path, w.take());
 }
 
 bool
 obsWriteTrace(const std::string& path)
 {
     Registry& r = reg();
-    std::string out;
+    JsonWriter w(2);
     {
         std::lock_guard<std::mutex> lk(r.mu);
         uint64_t pid = processId();
-        out += "{\"traceEvents\":[\n";
-        bool first = true;
         uint64_t tid = 1;
+        w.beginObject().key("traceEvents").beginArray();
         for (const auto& l : r.lanes) {
-            std::string pidTid = "\"pid\":" + std::to_string(pid) +
-                                 ",\"tid\":" + std::to_string(tid);
-            out += first ? "" : ",\n";
-            first = false;
-            out += "{\"ph\":\"M\",\"name\":\"thread_name\"," + pidTid +
-                   ",\"args\":{\"name\":\"" + jsonEscape(l->name) + "\"}}";
+            w.beginObject().key("ph").str("M").key("name").str("thread_name");
+            w.key("pid").u64(pid).key("tid").u64(tid).key("args");
+            w.beginObject().key("name").str(l->name).endObject().endObject();
             for (const SpanRec& s : l->spans) {
-                out += ",\n{\"ph\":\"X\"," + pidTid +
-                       ",\"ts\":" + std::to_string(s.startUs) +
-                       ",\"dur\":" + std::to_string(s.durUs) +
-                       ",\"name\":\"" + jsonEscape(s.name) +
-                       "\",\"cat\":\"" + jsonEscape(s.cat) + "\"}";
+                w.beginObject().key("ph").str("X").key("pid").u64(pid);
+                w.key("tid").u64(tid).key("ts").u64(s.startUs);
+                w.key("dur").u64(s.durUs).key("name").str(s.name);
+                w.key("cat").str(s.cat).endObject();
             }
             ++tid;
         }
-        out += "\n]}\n";
+        w.endArray().endObject();
     }
-    return writeAtomic(path, out);
+    return writeAtomic(path, w.take());
 }
 
 bool
@@ -740,88 +627,50 @@ bool
 obsMergePartial(const std::string& path)
 {
     std::string text;
-    if (!readAll(path, text))
-        return false;
-    if (text.rfind("obs-partial v1\n", 0) != 0)
+    if (!readAll(path, text) || text.rfind("obs-partial v1\n", 0) != 0)
         return false;
 
     // Tokenize each line; malformed lines fail the whole merge (a torn
     // partial should be noticed, not half-applied).
     size_t pos = text.find('\n') + 1;
     while (pos < text.size()) {
-        size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
+        size_t eol = std::min(text.find('\n', pos), text.size());
         std::string line = text.substr(pos, eol - pos);
         pos = eol + 1;
         if (line.empty())
             continue;
+        // Split on spaces, except that a span's free-text name (the sixth
+        // field, "S lane start dur cat name...") keeps its spaces.
         std::vector<std::string> f;
-        size_t start = 0;
-        // Spans carry the free-text name last; split only the leading
-        // fields and keep the remainder intact.
-        size_t maxFields = line[0] == 'S' ? 5 : (line[0] == 'H' ? 999 : 3);
-        while (f.size() + 1 < maxFields) {
-            size_t sp = line.find(' ', start);
-            if (sp == std::string::npos)
-                break;
+        size_t start = 0, sp;
+        while ((f.size() < 5 || line[0] != 'S') &&
+               (sp = line.find(' ', start)) != std::string::npos) {
             f.push_back(line.substr(start, sp - start));
             start = sp + 1;
         }
         f.push_back(line.substr(start));
-
-        if (f[0] == "C" && f.size() == 3) {
-            uint64_t v;
-            if (!parseU64Field(f[2], v))
-                return false;
-            obsCounter(f[1]).merge(v);
-        } else if (f[0] == "G" && f.size() == 3) {
-            uint64_t v;
-            if (!parseU64Field(f[2], v))
-                return false;
-            obsGauge(f[1]).merge(v);
-        } else if (f[0] == "H") {
-            // H name count sum b0..b31 — resplit fully.
-            std::vector<std::string> hf;
-            size_t hs = 0;
-            for (;;) {
-                size_t sp = line.find(' ', hs);
-                if (sp == std::string::npos) {
-                    hf.push_back(line.substr(hs));
-                    break;
-                }
-                hf.push_back(line.substr(hs, sp - hs));
-                hs = sp + 1;
-            }
-            if (hf.size() != 4 + ObsHistogram::kBuckets)
-                return false;
-            uint64_t count, sum, buckets[ObsHistogram::kBuckets];
-            if (!parseU64Field(hf[2], count) || !parseU64Field(hf[3], sum))
-                return false;
-            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                if (!parseU64Field(hf[4 + b], buckets[b]))
+        std::vector<uint64_t> n(f.size());
+        auto nums = [&](size_t from, size_t to) {
+            for (size_t i = from; i < to; ++i) {
+                if (!parseU64Field(f[i], n[i]))
                     return false;
             }
-            obsHistogram(hf[1]).merge(count, sum, buckets);
-        } else if (f[0] == "S" && f.size() == 5) {
-            // S lane start dur cat name...
-            size_t sp3 = f[4].find(' ');
-            if (sp3 == std::string::npos)
-                return false;
-            std::string cat = f[4].substr(0, sp3);
-            std::string name = f[4].substr(sp3 + 1);
-            uint64_t startUs, durUs;
-            if (!parseU64Field(f[2], startUs) ||
-                !parseU64Field(f[3], durUs))
-                return false;
-            obsEmitSpan(f[1], name, cat, startUs, durUs);
-        } else if (f[0] == "D" && f.size() == 2) {
-            uint64_t dropped;
-            if (!parseU64Field(f[1], dropped))
-                return false;
+            return true;
+        };
+
+        if (f[0] == "C" && f.size() == 3 && nums(2, 3)) {
+            obsCounter(f[1]).merge(n[2]);
+        } else if (f[0] == "G" && f.size() == 3 && nums(2, 3)) {
+            obsGauge(f[1]).merge(n[2]);
+        } else if (f[0] == "H" && f.size() == 4 + ObsHistogram::kBuckets &&
+                   nums(2, f.size())) {
+            obsHistogram(f[1]).merge(n[2], n[3], &n[4]);
+        } else if (f[0] == "S" && f.size() == 6 && nums(2, 4)) {
+            obsEmitSpan(f[1], f[5], f[4], n[2], n[3]);
+        } else if (f[0] == "D" && f.size() == 2 && nums(1, 2)) {
             Registry& r = reg();
             std::lock_guard<std::mutex> lk(r.mu);
-            namedLaneLocked(r, "merged").dropped += dropped;
+            namedLaneLocked(r, "merged").dropped += n[1];
         } else {
             return false;
         }
@@ -926,26 +775,25 @@ obsReadStatus(const std::string& path)
 std::string
 obsFormatStatus(const std::string& json)
 {
-    std::string experiment, state;
+    JsonValue doc;
+    std::string experiment, state, owner;
     double done = 0, total = 0, mops = 0, eta = 0, elapsed = 0;
     double computed = -1, reused = -1;
-    if (!jsonStrField(json, "experiment", experiment) ||
-        !jsonStrField(json, "state", state) ||
-        !jsonNumField(json, "cells_done", done) ||
-        !jsonNumField(json, "cells_total", total))
+    if (!parseJson(json, doc) || !doc.get("experiment", experiment) ||
+        !doc.get("state", state) || !doc.get("cells_done", done) ||
+        !doc.get("cells_total", total))
         return "";
-    jsonNumField(json, "mops", mops);
-    jsonNumField(json, "eta_sec", eta);
-    jsonNumField(json, "elapsed_sec", elapsed);
-    jsonNumField(json, "cells_computed", computed);
-    jsonNumField(json, "cells_reused", reused);
+    doc.get("mops", mops);
+    doc.get("eta_sec", eta);
+    doc.get("elapsed_sec", elapsed);
+    doc.get("cells_computed", computed);
+    doc.get("cells_reused", reused);
+    doc.get("owner", owner);
     char split[96] = "";
     if (computed >= 0 && reused >= 0) {
         std::snprintf(split, sizeof(split), " (%.0f computed, %.0f reused)",
                       computed, reused);
     }
-    std::string owner;
-    jsonStrField(json, "owner", owner);
 
     double pct = total > 0 ? 100.0 * done / total : 0.0;
     char buf[512];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <queue>
@@ -32,30 +31,8 @@ struct Arrival
     uint32_t seq;  ///< per-class sequence number (deterministic tie-break)
 };
 
-/** Byte-stable accumulator for the report fingerprint. */
-struct FpBuf
-{
-    std::vector<uint8_t> bytes;
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    f64(double v)
-    {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-};
-
 void
-fingerprintBox(FpBuf& b, const BoxWhisker& w)
+fingerprintBox(ByteWriter& b, const BoxWhisker& w)
 {
     b.f64(w.min);
     b.f64(w.q1);
@@ -78,91 +55,46 @@ fingerprintBox(FpBuf& b, const BoxWhisker& w)
 // warning. Report fingerprints and stdout never depend on the cache.
 
 constexpr uint64_t kCalibMagic = 0x4c434643ull; // "CFCL"
-constexpr uint64_t kCalibVersion = 1;
+/** 2: mechanism names are ByteWriter strings (u32 length prefix). */
+constexpr uint64_t kCalibVersion = 2;
 
 std::vector<uint8_t>
 encodeCalibCache(uint64_t fp, const std::vector<MachineCalibration>& calib)
 {
-    FpBuf b;
-    b.u64(kCalibMagic);
-    b.u64(kCalibVersion);
-    b.u64(fp);
-    b.u64(calib.size());
+    ByteWriter w;
+    w.u64(kCalibMagic);
+    w.u64(kCalibVersion);
+    w.u64(fp);
+    w.u64(calib.size());
     for (const MachineCalibration& c : calib) {
-        b.u64(c.mech.size());
-        for (char ch : c.mech)
-            b.bytes.push_back(static_cast<uint8_t>(ch));
-        b.f64(c.cyclesPerOp);
-        b.f64(c.pjPerOp);
+        w.str(c.mech);
+        w.f64(c.cyclesPerOp);
+        w.f64(c.pjPerOp);
     }
-    b.u64(fnv1a(b.bytes.data(), b.bytes.size()));
-    return b.bytes;
+    w.sealChecksum();
+    return w.take();
 }
-
-/** Bounds-checked little-endian reader over a calibration cache file. */
-struct CalibReader
-{
-    const uint8_t* p;
-    size_t n;
-    size_t at = 0;
-    bool ok = true;
-
-    uint64_t
-    u64()
-    {
-        if (at + 8 > n) {
-            ok = false;
-            return 0;
-        }
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(p[at + i]) << (8 * i);
-        at += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-};
 
 bool
 decodeCalibCache(const std::vector<uint8_t>& bytes, uint64_t& fp,
                  std::vector<MachineCalibration>& out)
 {
-    if (bytes.size() < 8 * 5)
+    size_t payload;
+    if (!checkedPayload(bytes.data(), bytes.size(), payload))
         return false;
-    uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i) {
-        stored |= static_cast<uint64_t>(bytes[bytes.size() - 8 + i])
-                  << (8 * i);
-    }
-    if (fnv1a(bytes.data(), bytes.size() - 8) != stored)
+    ByteReader r(bytes.data(), payload);
+    uint64_t magic, version, count;
+    if (!r.u64(magic) || magic != kCalibMagic || !r.u64(version) ||
+        version != kCalibVersion || !r.u64(fp) || !r.u64(count))
         return false;
-    CalibReader r { bytes.data(), bytes.size() - 8 };
-    if (r.u64() != kCalibMagic || r.u64() != kCalibVersion)
-        return false;
-    fp = r.u64();
-    uint64_t count = r.u64();
     out.clear();
-    for (uint64_t i = 0; i < count && r.ok; ++i) {
+    for (uint64_t i = 0; i < count; ++i) {
         MachineCalibration c;
-        uint64_t len = r.u64();
-        if (!r.ok || r.at + len > r.n)
+        if (!r.str(c.mech) || !r.f64(c.cyclesPerOp) || !r.f64(c.pjPerOp))
             return false;
-        c.mech.assign(reinterpret_cast<const char*>(r.p + r.at),
-                      static_cast<size_t>(len));
-        r.at += static_cast<size_t>(len);
-        c.cyclesPerOp = r.f64();
-        c.pjPerOp = r.f64();
         out.push_back(std::move(c));
     }
-    return r.ok;
+    return r.remaining() == 0;
 }
 
 void
@@ -175,7 +107,7 @@ verifyCalibCache(const std::string& dir, const Scenario& sc,
     // coexist instead of quarantining each other on every mode switch.
     std::string file = "fleet-" + sanitizeFileName(sc.name);
     if (sample.enabled)
-        file += "-" + sanitizeFileName(sample.spec());
+        file.append("-").append(sanitizeFileName(sample.spec()));
     file += ".calib";
     std::string path = dir + "/" + file;
     std::vector<uint8_t> bytes;
@@ -427,7 +359,7 @@ simulateFleet(const Scenario& sc,
 uint64_t
 FleetReport::fingerprint() const
 {
-    FpBuf b;
+    ByteWriter b;
     b.u64(fnv1a(name));
     b.f64(horizonCycles);
     b.u64(totalRequests);
@@ -452,7 +384,7 @@ FleetReport::fingerprint() const
         b.f64(s.violationFrac);
         fingerprintBox(b, s.latency);
     }
-    return fnv1a(b.bytes.data(), b.bytes.size());
+    return fnv1a(b.bytes().data(), b.bytes().size());
 }
 
 void
@@ -525,7 +457,7 @@ runFleetScenario(const Scenario& sc, ExperimentOptions opts)
         }
         ExperimentResult res = exp.run();
         calib = calibrateMachines(sc, res);
-        calibFp = resultFingerprint(res.matrix());
+        calibFp = res.matrix().fingerprint();
         resumed = res.resumedCells();
     }
     if (!opts.checkpointDir.empty())

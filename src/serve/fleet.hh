@@ -83,7 +83,7 @@ struct FleetReport
     uint64_t totalRequests = 0;
     std::vector<MachineReport> machines;
     std::array<SlaReport, kNumSlaTiers> sla;
-    /** resultFingerprint() of the calibration sweep's matrix. */
+    /** MatrixResult::fingerprint() of the calibration sweep's matrix. */
     uint64_t calibFingerprint = 0;
     /** Calibration cells restored from checkpoints (not fingerprinted —
      *  a resumed run must fingerprint identically to a fresh one). */

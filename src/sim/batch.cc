@@ -5,6 +5,7 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
+#include "trace/serialize.hh"
 
 namespace constable {
 
@@ -246,12 +247,15 @@ MatrixResult::aggregateStats() const
 }
 
 uint64_t
-MatrixResult::totalCycles() const
+MatrixResult::fingerprint() const
 {
-    uint64_t sum = 0;
-    for (const RunResult& r : results)
-        sum += r.cycles;
-    return sum;
+    uint64_t h = 0x5eedf00dull;
+    for (const RunResult& r : results) {
+        auto bytes = serializeRunResult(r);
+        h ^= fnv1a(bytes.data(), bytes.size());
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
 MatrixResult

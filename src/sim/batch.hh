@@ -136,8 +136,10 @@ struct MatrixResult
     /** Sum of every cell's stats, merged in index order (deterministic). */
     StatSet aggregateStats() const;
 
-    /** Total simulated cycles across all cells (determinism fingerprint). */
-    uint64_t totalCycles() const;
+    /** The result fingerprint: FNV chained over every cell's serialized
+     *  RunResult in row-major order, so any change to any cell's cycles,
+     *  counts or stats moves it. The "result fingerprint:" lines print it. */
+    uint64_t fingerprint() const;
 };
 
 /** Builds the SystemConfig for one matrix cell; may depend on the row

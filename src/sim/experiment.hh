@@ -257,9 +257,6 @@ class ExperimentResult
     std::vector<double> statColumn(const std::string& config,
                                    const std::string& stat) const;
 
-    /** Determinism fingerprint (sum of every cell's cycles). */
-    uint64_t totalCycles() const { return m_.totalCycles(); }
-
     /** Cells served from the cell store instead of simulated: resumed
      *  cells, cells another experiment committed, and duplicates of a cell
      *  earlier in this sweep. Sharded runs count the cells already stored

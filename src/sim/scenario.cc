@@ -361,24 +361,11 @@ loadScenarioFile(const std::string& path)
     return parseScenarioText(text, path);
 }
 
-uint64_t
-resultFingerprint(const MatrixResult& m)
-{
-    uint64_t h = 0x5eedf00dull;
-    for (const RunResult& r : m.results) {
-        auto bytes = serializeRunResult(r);
-        h ^= fnv1a(bytes.data(), bytes.size());
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 void
 printResultFingerprint(const ExperimentResult& res)
 {
     std::printf("result fingerprint: %016llx\n",
-                static_cast<unsigned long long>(
-                    resultFingerprint(res.matrix())));
+                static_cast<unsigned long long>(res.matrix().fingerprint()));
 }
 
 void

@@ -116,10 +116,6 @@ Scenario parseScenarioText(const std::string& text, const std::string& what);
 /** Load and parse a scenario file; fatal() on I/O or parse errors. */
 Scenario loadScenarioFile(const std::string& path);
 
-/** Byte-identity fingerprint: FNV chained over every cell's serialized
- *  RunResult in row-major order (same chain constable-sweep prints). */
-uint64_t resultFingerprint(const MatrixResult& m);
-
 /** Print the standard "result fingerprint: <16 hex>" line. */
 void printResultFingerprint(const ExperimentResult& res);
 

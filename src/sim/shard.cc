@@ -13,6 +13,7 @@
 
 #include "common/check.hh"
 #include "common/faultio.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 
@@ -155,34 +156,6 @@ guardedLeaseAge(const std::string& path, double ttl, ShardOutcome& outcome)
     return 0.0;
 }
 
-/** Per-preset Mops/s from the "presets" array of a BENCH_perf.json (the
- *  format bench/perf_regression.cc emits); empty map when unparsable. */
-std::unordered_map<std::string, double>
-parsePerfPresets(const std::string& json)
-{
-    std::unordered_map<std::string, double> mops;
-    size_t pos = 0;
-    for (;;) {
-        size_t at = json.find("\"name\":\"", pos);
-        if (at == std::string::npos)
-            break;
-        size_t nameStart = at + 8;
-        size_t nameEnd = json.find('"', nameStart);
-        if (nameEnd == std::string::npos)
-            break;
-        std::string name = json.substr(nameStart, nameEnd - nameStart);
-        size_t next = json.find("\"name\":\"", nameEnd);
-        size_t mopsAt = json.find("\"mops_per_sec\":", nameEnd);
-        if (mopsAt != std::string::npos &&
-            (next == std::string::npos || mopsAt < next)) {
-            mops[name] =
-                std::strtod(json.c_str() + mopsAt + 15, nullptr);
-        }
-        pos = nameEnd;
-    }
-    return mops;
-}
-
 /**
  * Mean observed per-config compute seconds from the `.cost` sidecars
  * committed next to cell checkpoints (workerPass writes one per computed
@@ -260,9 +233,20 @@ buildClaimOrder(const std::string& root, const SweepManifest& m,
     }
 
     if (!opts.costModelPath.empty()) {
+        // Per-preset Mops/s from the top-level "presets" array of a
+        // BENCH_perf.json (the sampled section's entries share names).
         std::string json;
-        if (readFileText(opts.costModelPath, json)) {
-            auto mops = parsePerfPresets(json);
+        JsonValue doc;
+        const JsonValue* presets = nullptr;
+        if (readFileText(opts.costModelPath, json) && parseJson(json, doc) &&
+            (presets = doc.find("presets"))) {
+            std::unordered_map<std::string, double> mops;
+            for (const JsonValue& e : presets->items) {
+                std::string name;
+                double v;
+                if (e.get("name", name) && e.get("mops_per_sec", v))
+                    mops.emplace(name, v);
+            }
             std::vector<double> cost(m.numConfigs, 0.0);
             double sum = 0.0;
             size_t known = 0;

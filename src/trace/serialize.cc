@@ -90,134 +90,8 @@ loadLe(const uint8_t* p)
     return swapToLe(v);
 }
 
-/** Little-endian append-only encoder. */
-class ByteWriter
-{
-  public:
-    void
-    u8(uint8_t v)
-    {
-        buf_.push_back(v);
-    }
+} // namespace
 
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    f64(double v)
-    {
-        u64(std::bit_cast<uint64_t>(v));
-    }
-
-    void
-    str(const std::string& s)
-    {
-        u32(static_cast<uint32_t>(s.size()));
-        buf_.insert(buf_.end(), s.begin(), s.end());
-    }
-
-    /** Append the checksum of everything written so far. */
-    void
-    sealChecksum()
-    {
-        u64(fnv1a(buf_.data(), buf_.size()));
-    }
-
-    std::vector<uint8_t> take() { return std::move(buf_); }
-    const std::vector<uint8_t>& bytes() const { return buf_; }
-
-  private:
-    std::vector<uint8_t> buf_;
-};
-
-/** Bounds-checked decoder; every read reports success so callers bail out
- *  cleanly on truncated input instead of reading past the end. */
-class ByteReader
-{
-  public:
-    ByteReader(const uint8_t* data, size_t n) : data_(data), n_(n) {}
-
-    bool
-    u8(uint8_t& v)
-    {
-        if (pos_ + 1 > n_)
-            return false;
-        v = data_[pos_++];
-        return true;
-    }
-
-    bool
-    u32(uint32_t& v)
-    {
-        const uint8_t* p = take(4);
-        if (!p)
-            return false;
-        v = loadLe<uint32_t>(p);
-        return true;
-    }
-
-    bool
-    u64(uint64_t& v)
-    {
-        const uint8_t* p = take(8);
-        if (!p)
-            return false;
-        v = loadLe<uint64_t>(p);
-        return true;
-    }
-
-    /** The next n bytes, or nullptr (consuming nothing) past the end. */
-    const uint8_t*
-    take(size_t n)
-    {
-        if (n > n_ - pos_)
-            return nullptr;
-        const uint8_t* p = data_ + pos_;
-        pos_ += n;
-        return p;
-    }
-
-    bool
-    f64(double& v)
-    {
-        uint64_t bits;
-        if (!u64(bits))
-            return false;
-        v = std::bit_cast<double>(bits);
-        return true;
-    }
-
-    bool
-    str(std::string& s)
-    {
-        uint32_t len;
-        if (!u32(len) || pos_ + len > n_)
-            return false;
-        s.assign(reinterpret_cast<const char*>(data_ + pos_), len);
-        pos_ += len;
-        return true;
-    }
-
-    size_t remaining() const { return n_ - pos_; }
-
-  private:
-    const uint8_t* data_;
-    size_t n_;
-    size_t pos_ = 0;
-};
-
-/** Split payload from trailing checksum and verify it. */
 bool
 checkedPayload(const uint8_t* bytes, size_t n, size_t& payload_len)
 {
@@ -226,6 +100,8 @@ checkedPayload(const uint8_t* bytes, size_t n, size_t& payload_len)
     payload_len = n - 8;
     return fnv1a(bytes, payload_len) == loadLe<uint64_t>(bytes + payload_len);
 }
+
+namespace {
 
 /** Per-write unique tmp suffix: pid + process-random nonce + counter.
  *  Sharded sweeps have many processes (and threads) writing into one

@@ -13,8 +13,10 @@
 #ifndef CONSTABLE_TRACE_SERIALIZE_HH
 #define CONSTABLE_TRACE_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/run_result.hh"
@@ -181,6 +183,111 @@ uint64_t fnv1a(const uint8_t* data, size_t n);
 
 /** FNV-1a over a string (config names, etc.). */
 uint64_t fnv1a(const std::string& s);
+
+// -------------------------------------------------------------- byte codec
+
+/** Little-endian append-only encoder behind every binary file here, the
+ *  fleet calibration cache and the fleet report fingerprint. */
+class ByteWriter
+{
+  public:
+    void u8(uint8_t v) { buf_.push_back(v); }
+    void u32(uint32_t v) { le(v, 4); }
+    void u64(uint64_t v) { le(v, 8); }
+    void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
+
+    /** u32 length, then the bytes. */
+    void
+    str(const std::string& s)
+    {
+        u32(static_cast<uint32_t>(s.size()));
+        buf_.insert(buf_.end(), s.begin(), s.end());
+    }
+
+    /** Append the checksum of everything written so far. */
+    void sealChecksum() { u64(fnv1a(buf_.data(), buf_.size())); }
+
+    std::vector<uint8_t> take() { return std::move(buf_); }
+    const std::vector<uint8_t>& bytes() const { return buf_; }
+
+  private:
+    void
+    le(uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+
+    std::vector<uint8_t> buf_;
+};
+
+/** Bounds-checked decoder; every read reports success so callers bail out
+ *  cleanly on truncated input instead of reading past the end. */
+class ByteReader
+{
+  public:
+    ByteReader(const uint8_t* data, size_t n) : data_(data), n_(n) {}
+
+    bool u8(uint8_t& v) { return le(v, 1); }
+    bool u32(uint32_t& v) { return le(v, 4); }
+    bool u64(uint64_t& v) { return le(v, 8); }
+
+    bool
+    f64(double& v)
+    {
+        uint64_t bits;
+        if (!u64(bits))
+            return false;
+        v = std::bit_cast<double>(bits);
+        return true;
+    }
+
+    bool
+    str(std::string& s)
+    {
+        uint32_t len;
+        const uint8_t* p = nullptr;
+        if (!u32(len) || !(p = take(len)))
+            return false;
+        s.assign(reinterpret_cast<const char*>(p), len);
+        return true;
+    }
+
+    /** The next n bytes, or nullptr (consuming nothing) past the end. */
+    const uint8_t*
+    take(size_t n)
+    {
+        if (n > n_ - pos_)
+            return nullptr;
+        pos_ += n;
+        return data_ + pos_ - n;
+    }
+
+    size_t remaining() const { return n_ - pos_; }
+
+  private:
+    template <typename T>
+    bool
+    le(T& v, size_t n)
+    {
+        const uint8_t* p = take(n);
+        if (!p)
+            return false;
+        uint64_t acc = 0;
+        for (size_t i = 0; i < n; ++i)
+            acc |= static_cast<uint64_t>(p[i]) << (8 * i);
+        v = static_cast<T>(acc);
+        return true;
+    }
+
+    const uint8_t* data_;
+    size_t n_;
+    size_t pos_ = 0;
+};
+
+/** Split @p n bytes sealed by ByteWriter::sealChecksum into the payload
+ *  length and verify the checksum; false when short or corrupt. */
+bool checkedPayload(const uint8_t* bytes, size_t n, size_t& payload_len);
 
 /** boost-style hash_combine over 64-bit values (key derivation). */
 inline uint64_t

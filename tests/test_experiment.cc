@@ -308,7 +308,7 @@ TEST_F(TraceCache, CacheHitProducesIdenticalRunResult)
 
     auto a = runBoth(cold);
     auto b = runBoth(warm);
-    EXPECT_EQ(a.totalCycles(), b.totalCycles());
+    EXPECT_EQ(a.matrix().fingerprint(), b.matrix().fingerprint());
     EXPECT_EQ(a.matrix().aggregateStats().all(),
               b.matrix().aggregateStats().all());
 }
@@ -417,7 +417,7 @@ TEST_F(Checkpoint, ResumeFromPartialCheckpointIsBitIdentical)
     ck.checkpointDir = dir;
     auto first = makeExp(ck).run();
     EXPECT_EQ(first.resumedCells(), 0u);
-    EXPECT_EQ(first.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(first.matrix().fingerprint(), ref.matrix().fingerprint());
 
     std::vector<std::string> cells;
     for (const auto& sub : fs::directory_iterator(dir)) {
@@ -435,14 +435,14 @@ TEST_F(Checkpoint, ResumeFromPartialCheckpointIsBitIdentical)
     // merged result must be bit-identical to the uninterrupted run.
     auto resumed = makeExp(ck).run();
     EXPECT_EQ(resumed.resumedCells(), 3u);
-    EXPECT_EQ(resumed.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(resumed.matrix().fingerprint(), ref.matrix().fingerprint());
     EXPECT_EQ(resumed.matrix().aggregateStats().all(),
               ref.matrix().aggregateStats().all());
 
     // A fully warm checkpoint resumes every cell.
     auto warm = makeExp(ck).run();
     EXPECT_EQ(warm.resumedCells(), 6u);
-    EXPECT_EQ(warm.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(warm.matrix().fingerprint(), ref.matrix().fingerprint());
 }
 
 /**
@@ -479,14 +479,14 @@ TEST_F(Checkpoint, ZeroByteAndGarbageCellsAreRegeneratedNotTrusted)
 
     auto resumed = makeExp(ck).run();
     EXPECT_EQ(resumed.resumedCells(), 2u); // only the intact pair loads
-    EXPECT_EQ(resumed.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(resumed.matrix().fingerprint(), ref.matrix().fingerprint());
     EXPECT_EQ(resumed.matrix().aggregateStats().all(),
               ref.matrix().aggregateStats().all());
 
     // The regenerated cells are back on disk and trusted on the next run.
     auto warm = makeExp(ck).run();
     EXPECT_EQ(warm.resumedCells(), 4u);
-    EXPECT_EQ(warm.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(warm.matrix().fingerprint(), ref.matrix().fingerprint());
 }
 
 /** Stored cells (*.rr) in a checkpoint root's cell store. */
@@ -515,11 +515,11 @@ TEST_F(Checkpoint, SmtSweepCheckpointsSeparatelyFromNoSmt)
     auto smt = makeExp().runSmt();
     EXPECT_EQ(smt.resumedCells(), 0u); // distinct key: no cross-pollution
     EXPECT_EQ(storedCells(dir), 3u);   // + 1 pair x 1 config, same store
-    EXPECT_NE(plain.totalCycles(), smt.totalCycles());
+    EXPECT_NE(plain.matrix().fingerprint(), smt.matrix().fingerprint());
 
     auto smtAgain = makeExp().runSmt();
     EXPECT_EQ(smtAgain.resumedCells(), 1u); // 1 pair x 1 config
-    EXPECT_EQ(smtAgain.totalCycles(), smt.totalCycles());
+    EXPECT_EQ(smtAgain.matrix().fingerprint(), smt.matrix().fingerprint());
 }
 
 // --------------------------------------------------------------- cell store
@@ -571,7 +571,8 @@ TEST_F(CellStore, ParameterChangeUnderAnUnchangedNameMissesTheStore)
     narrow.loadPorts = 1;
     auto changedCore = run(ck, mechFor("constable"), narrow);
     EXPECT_EQ(changedCore.resumedCells(), 0u);
-    EXPECT_NE(changedCore.totalCycles(), original.totalCycles());
+    EXPECT_NE(changedCore.matrix().fingerprint(),
+              original.matrix().fingerprint());
     expectSameCells(changedCore, run(opts, mechFor("constable"), narrow));
 
     MechanismConfig eager = mechFor("constable");
@@ -799,7 +800,7 @@ TEST(Experiment, MatchesDirectRunMatrixBitExactly)
         runMatrix(suite.tracePtrs(), configs, suite.gsPtrs(), opts.batch());
 
     ASSERT_EQ(res.matrix().results.size(), direct.results.size());
-    EXPECT_EQ(res.totalCycles(), direct.totalCycles());
+    EXPECT_EQ(res.matrix().fingerprint(), direct.fingerprint());
     EXPECT_EQ(res.matrix().aggregateStats().all(),
               direct.aggregateStats().all());
     // Name-addressed accessors hit the right cells.

@@ -4,13 +4,15 @@
  * gate never perturbs simulated results (RunResult bytes are bit-identical
  * either way), the span ring drops and counts on overflow, status.json is
  * atomically rewritten (a concurrent reader never sees a torn file), the
- * emitted Chrome trace-event JSON is well-formed, and shard partial files
+ * emitted Chrome trace-event and metrics JSON parse under the strict
+ * reader (common/json.hh) to the recorded values, and shard partial files
  * round-trip counters/histograms/spans through save + merge. Plus the
  * CONSTABLE_LOG_LEVEL satellite: warnOnce/warnEvery dedup state.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 #include "sim/mechanisms.hh"
@@ -57,6 +60,26 @@ class ObsTest : public ::testing::Test
 
     std::string dir;
 };
+
+/** Parse a file the obs layer wrote; a malformed file fails the test. */
+JsonValue
+readJson(const std::string& path)
+{
+    std::string text = obsReadStatus(path);
+    JsonValue doc;
+    EXPECT_TRUE(parseJson(text, doc)) << text;
+    return doc;
+}
+
+/** Member @p key, or a null value when absent, so a chained lookup in a
+ *  failing test reports a mismatch instead of crashing. */
+const JsonValue&
+member(const JsonValue& v, const std::string& key)
+{
+    static const JsonValue kNull;
+    const JsonValue* m = v.find(key);
+    return m ? *m : kNull;
+}
 
 // --------------------------------------------------------- registry gate
 
@@ -128,38 +151,9 @@ TEST_F(ObsTest, SpanRingOverflowDropsAndCounts)
     // The drop total must survive into the metrics snapshot.
     std::string path = dir + "/metrics.json";
     ASSERT_TRUE(obsWriteMetrics(path));
-    std::string json = obsReadStatus(path);
-    EXPECT_NE(json.find("\"dropped\": " + std::to_string(emitted - 4096)),
-              std::string::npos)
-        << json;
-}
-
-/** Validate brace/bracket balance outside string literals — the mini
- *  well-formedness check for the emitted JSON. */
-bool
-jsonBalanced(const std::string& s)
-{
-    int depth = 0;
-    bool inStr = false;
-    for (size_t i = 0; i < s.size(); ++i) {
-        char c = s[i];
-        if (inStr) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                inStr = false;
-            continue;
-        }
-        if (c == '"')
-            inStr = true;
-        else if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
-    }
-    return depth == 0 && !inStr;
+    JsonValue doc = readJson(path);
+    EXPECT_EQ(member(member(doc, "spans"), "dropped").number,
+              static_cast<double>(emitted - 4096));
 }
 
 TEST_F(ObsTest, TraceEventJsonIsWellFormedWithLaneMetadata)
@@ -174,20 +168,30 @@ TEST_F(ObsTest, TraceEventJsonIsWellFormedWithLaneMetadata)
 
     std::string path = dir + "/trace.json";
     ASSERT_TRUE(obsWriteTrace(path));
-    std::string json = obsReadStatus(path);
-    ASSERT_FALSE(json.empty());
+    JsonValue doc = readJson(path);
+    const JsonValue& events = member(doc, "traceEvents");
+    ASSERT_EQ(events.kind, JsonValue::Kind::Array);
 
-    EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json;
-    EXPECT_TRUE(jsonBalanced(json)) << json;
     // One thread_name metadata record per lane, and the lanes we named.
-    EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-    EXPECT_NE(json.find("\"shard-3\""), std::string::npos);
-    EXPECT_NE(json.find("\"fleet:web\""), std::string::npos);
-    // The quoted span name must arrive escaped, not raw.
-    EXPECT_NE(json.find("dispatch:\\\"quoted\\\""), std::string::npos);
-    // Complete events carry the X phase with timestamps.
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ts\":10,\"dur\":20"), std::string::npos);
+    std::vector<std::string> lanes;
+    bool quoted = false, timed = false;
+    for (const JsonValue& e : events.items) {
+        const std::string& ph = member(e, "ph").str;
+        const std::string& name = member(e, "name").str;
+        if (ph == "M" && name == "thread_name")
+            lanes.push_back(member(member(e, "args"), "name").str);
+        // The quoted span name must come back intact (it was escaped).
+        quoted |= ph == "X" && name == "dispatch:\"quoted\"";
+        // Complete events carry the X phase with timestamps.
+        timed |= ph == "X" && name == "cell.compute" &&
+                 member(e, "ts").number == 10 &&
+                 member(e, "dur").number == 20;
+    }
+    EXPECT_NE(std::find(lanes.begin(), lanes.end(), "shard-3"), lanes.end());
+    EXPECT_NE(std::find(lanes.begin(), lanes.end(), "fleet:web"),
+              lanes.end());
+    EXPECT_TRUE(quoted);
+    EXPECT_TRUE(timed);
 }
 
 TEST_F(ObsTest, MetricsSnapshotIsWellFormedJson)
@@ -197,10 +201,14 @@ TEST_F(ObsTest, MetricsSnapshotIsWellFormedJson)
     obsHistogram("test.snapshot.hist").record(42);
     std::string path = dir + "/metrics.json";
     ASSERT_TRUE(obsWriteMetrics(path));
-    std::string json = obsReadStatus(path);
-    EXPECT_TRUE(jsonBalanced(json)) << json;
-    EXPECT_NE(json.find("\"test.snapshot.counter\": 3"), std::string::npos);
-    EXPECT_NE(json.find("\"count\": 1, \"sum\": 42"), std::string::npos);
+    JsonValue doc = readJson(path);
+    EXPECT_EQ(
+        member(member(doc, "counters"), "test.snapshot.counter").number, 3);
+    const JsonValue& hist =
+        member(member(doc, "histograms"), "test.snapshot.hist");
+    EXPECT_EQ(member(hist, "count").number, 1);
+    EXPECT_EQ(member(hist, "sum").number, 42);
+    EXPECT_EQ(member(hist, "buckets").items.size(), ObsHistogram::kBuckets);
 }
 
 // ------------------------------------------------------- shard partials
@@ -262,45 +270,50 @@ TEST_F(ObsTest, CorruptPartialFailsWholeMerge)
 
 TEST_F(ObsTest, StatusJsonIsAtomicUnderConcurrentReader)
 {
-    std::string path = dir + "/status.json";
-    std::atomic<bool> stop { false };
-    std::atomic<uint64_t> reads { 0 };
-    std::atomic<uint64_t> tornReads { 0 };
+    // The second label needs escaping in status.json; the formatter must
+    // show it as given, not as its escaped spelling.
+    for (const std::string label :
+         { "atomic-test", "fig \"11\" C:\\sweeps\\a" }) {
+        std::string path = dir + "/status.json";
+        std::atomic<bool> stop { false };
+        std::atomic<uint64_t> reads { 0 };
+        std::atomic<uint64_t> tornReads { 0 };
 
-    std::thread reader([&] {
-        while (!stop.load()) {
-            std::string json = obsReadStatus(path);
-            if (json.empty())
-                continue; // not written yet, or mid-rename: both fine
-            ++reads;
-            // Every observed file content must render: a torn write
-            // would drop required fields and format to "".
-            if (obsFormatStatus(json).empty())
-                ++tornReads;
+        std::thread reader([&] {
+            while (!stop.load()) {
+                std::string json = obsReadStatus(path);
+                if (json.empty())
+                    continue; // not written yet, or mid-rename: both fine
+                ++reads;
+                // Every observed file content must render: a torn write
+                // would fail to parse and format to "".
+                if (obsFormatStatus(json).empty())
+                    ++tornReads;
+            }
+        });
+
+        ObsProgressConfig cfg;
+        cfg.label = label;
+        cfg.total = 4;
+        cfg.statusPath = path;
+        cfg.intervalSec = 0; // no stderr chatter from the test
+        for (int iter = 0; iter < 200; ++iter) {
+            obsProgressBegin(cfg);
+            obsProgressCellDone(1'000'000);
+            obsProgressUpdate(3);
+            obsProgressEnd(); // final: unconditional atomic rewrite
         }
-    });
+        stop.store(true);
+        reader.join();
 
-    ObsProgressConfig cfg;
-    cfg.label = "atomic-test";
-    cfg.total = 4;
-    cfg.statusPath = path;
-    cfg.intervalSec = 0; // no stderr chatter from the test
-    for (int iter = 0; iter < 200; ++iter) {
-        obsProgressBegin(cfg);
-        obsProgressCellDone(1'000'000);
-        obsProgressUpdate(3);
-        obsProgressEnd(); // final: unconditional atomic rewrite
+        EXPECT_GT(reads.load(), 0u);
+        EXPECT_EQ(tornReads.load(), 0u);
+
+        // The final status is "done" and renders with the label.
+        std::string line = obsFormatStatus(obsReadStatus(path));
+        EXPECT_NE(line.find("'" + label + "'"), std::string::npos) << line;
+        EXPECT_NE(line.find("done"), std::string::npos) << line;
     }
-    stop.store(true);
-    reader.join();
-
-    EXPECT_GT(reads.load(), 0u);
-    EXPECT_EQ(tornReads.load(), 0u);
-
-    // The final status is "done" and renders with the label.
-    std::string line = obsFormatStatus(obsReadStatus(path));
-    EXPECT_NE(line.find("atomic-test"), std::string::npos) << line;
-    EXPECT_NE(line.find("done"), std::string::npos) << line;
 }
 
 TEST_F(ObsTest, StatusFormatterRejectsGarbage)

@@ -598,7 +598,16 @@ TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
         << "{\n  \"presets\": [\n"
            "    {\"name\":\"fast\", \"mops_per_sec\":100.0},\n"
            "    {\"name\":\"mid\", \"mops_per_sec\":10.0},\n"
-           "    {\"name\":\"slow\", \"mops_per_sec\":1.0}\n  ]\n}\n";
+           "    {\"name\":\"slow\", \"mops_per_sec\":1.0}\n  ],\n"
+           // The sampled section reuses the preset names, and a reader
+           // that scans forward from the last of them for "mops_per_sec"
+           // lands on the total's value: slow would then claim last.
+           "  \"sampled\": {\"spec\":\"phases:8\", \"presets\": [\n"
+           "    {\"name\":\"fast\", \"effective_mops_per_sec\":900.0},\n"
+           "    {\"name\":\"slow\", \"effective_mops_per_sec\":800.0}\n"
+           "  ], \"wall_seconds\":1.0, \"effective_mops_per_sec\":850.0},\n"
+           "  \"total\": {\"wall_seconds\":9.0, \"mops_per_sec\":1000.0}\n"
+           "}\n";
 
     std::vector<size_t> computedOrder;
     auto compute = [&](size_t cell) {
@@ -674,14 +683,14 @@ TEST_F(ShardTest, ForkCoordinatorMatchesSerialRunBitExactly)
         EXPECT_EQ(serializeRunResult(res.matrix().results[c]),
                   serializeRunResult(ref.matrix().results[c]));
     }
-    EXPECT_EQ(res.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(res.matrix().fingerprint(), ref.matrix().fingerprint());
     EXPECT_EQ(res.matrix().aggregateStats().all(),
               ref.matrix().aggregateStats().all());
 
     // The checkpoint dir now holds the finished sweep: merge() assembles
     // the same matrix without simulating.
     auto merged = build(sharded).merge();
-    EXPECT_EQ(merged.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(merged.matrix().fingerprint(), ref.matrix().fingerprint());
     EXPECT_EQ(merged.resumedCells(), 6u);
 }
 
@@ -698,7 +707,7 @@ TEST_F(ShardTest, ForkCoordinatorWithoutCheckpointDirUsesScratch)
     ExperimentOptions sharded = tinyOpts();
     sharded.shards = 2; // no checkpointDir: private scratch, auto-removed
     auto res = run(sharded);
-    EXPECT_EQ(res.totalCycles(), ref.totalCycles());
+    EXPECT_EQ(res.matrix().fingerprint(), ref.matrix().fingerprint());
 }
 
 TEST_F(ShardTest, WorkerModeRequiresCheckpointDir)

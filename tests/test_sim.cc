@@ -143,7 +143,7 @@ TEST_F(MatrixDeterminism, ParallelMatchesSerialBitExactly)
         // must be bit-identical, not just the headline numbers.
         EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all())
             << "aggregate stats diverge @ " << threads << " threads";
-        EXPECT_EQ(got.totalCycles(), ref.totalCycles());
+        EXPECT_EQ(got.fingerprint(), ref.fingerprint());
     }
 }
 

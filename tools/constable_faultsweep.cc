@@ -34,6 +34,7 @@
  * afterwards. A torn leg must leave at least one such torn trace file.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -147,7 +148,7 @@ runSweepChild()
     }
 
     ExperimentResult res = exp.run();
-    printChildResult(resultFingerprint(res.matrix()));
+    printChildResult(res.matrix().fingerprint());
     return 0;
 }
 
@@ -225,30 +226,12 @@ makeScratchDir()
     return buf.data();
 }
 
-/** 16-hex-digit fingerprint parse (the linter bans the strtoull family
- *  repo-wide; a fixed-format log token needs no general parser). */
+/** The unsigned @p base number at @p at in @p log; 0 when there is none. */
 uint64_t
-parseHexToken(const char* s)
+parseToken(const std::string& log, size_t at, int base)
 {
     uint64_t v = 0;
-    for (int i = 0; i < 16 && s[i]; ++i) {
-        char c = s[i];
-        int d = c >= '0' && c <= '9'   ? c - '0'
-                : c >= 'a' && c <= 'f' ? c - 'a' + 10
-                                       : -1;
-        if (d < 0)
-            break;
-        v = v * 16 + static_cast<uint64_t>(d);
-    }
-    return v;
-}
-
-uint64_t
-parseDecToken(const char* s)
-{
-    uint64_t v = 0;
-    while (*s >= '0' && *s <= '9')
-        v = v * 10 + static_cast<uint64_t>(*s++ - '0');
+    std::from_chars(log.data() + at, log.data() + log.size(), v, base);
     return v;
 }
 
@@ -302,14 +285,13 @@ launchChild(const char* self, const char* mode, const std::string& plan,
         size_t at = log.rfind("result fingerprint: ");
         if (at != std::string::npos) {
             r.haveFingerprint = true;
-            r.fingerprint = parseHexToken(
-                log.c_str() + at + std::strlen("result fingerprint: "));
+            r.fingerprint =
+                parseToken(log, at + std::strlen("result fingerprint: "), 16);
         }
         std::string tag = "fault hits: " + point + " ";
         for (size_t pos = log.find(tag); pos != std::string::npos;
              pos = log.find(tag, pos + 1)) {
-            r.armedHits +=
-                parseDecToken(log.c_str() + pos + tag.size());
+            r.armedHits += parseToken(log, pos + tag.size(), 10);
         }
     }
     return r;

@@ -225,9 +225,7 @@ sweepMain(int argc, char** argv)
                       series, names);
     std::printf("\ncells: %zu (%zu resumed from prior checkpoints)\n",
                 res.matrix().results.size(), res.resumedCells());
-    std::printf("result fingerprint: %016llx\n",
-                static_cast<unsigned long long>(
-                    resultFingerprint(res.matrix())));
+    printResultFingerprint(res);
     return 0;
 }
 
