@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/env.hh"
@@ -43,9 +42,6 @@ struct PerfFlags
     std::string checkAgainst;
     double maxRegression = 0.25;
     unsigned repeats = 1;
-    /** > 1: also time the combined preset sweep serially vs forked across
-     *  this many worker processes and record the scaling. */
-    unsigned shardScaling = 0;
     /** Also time every preset in phase-sampled mode and record the
      *  effective (extrapolated-instructions / sampled-wall) throughput as
      *  its own series. Empty spec: the built-in sampling defaults. */
@@ -107,9 +103,6 @@ perfMain(int argc, char** argv)
         } else if (flag == "--repeats") {
             flags.repeats = static_cast<unsigned>(
                 parseU64InRange("--repeats", valueOf(arg, i), 1, 1000));
-        } else if (flag == "--shard-scaling") {
-            flags.shardScaling = static_cast<unsigned>(
-                parseU64Strict("--shard-scaling", valueOf(arg, i)));
         } else if (flag == "--sampled-leg") {
             flags.sampledLeg = true;
             if (arg.find('=') != std::string::npos)
@@ -126,9 +119,6 @@ perfMain(int argc, char** argv)
                     "(default 0.25)\n"
                     "  --repeats=N            timed repeats, best-of "
                     "(default 1)\n"
-                    "  --shard-scaling=N      also time the preset sweep "
-                    "1-process vs N forked\n                         "
-                    "workers and record the speedup\n"
                     "  --sampled-leg[=SPEC]   also time every preset "
                     "phase-sampled and record the\n                     "
                     "    effective Mops/s series (default spec if omitted)\n");
@@ -245,50 +235,6 @@ perfMain(int argc, char** argv)
                     sampleSpec.spec().c_str());
     }
 
-    // ------------------------------------------------ multi-process scaling
-    // Times the combined preset sweep once serially and once forked across
-    // N single-threaded worker processes (sim/shard.hh), verifying the
-    // results agree, so the perf trajectory records what each shard buys.
-    double scaleSerialSecs = 0.0, scaleShardedSecs = 0.0, scaleSpeedup = 0.0;
-    if (flags.shardScaling > 1) {
-        auto combined = [&](const ExperimentOptions& o) {
-            Experiment exp("perf_shard_scaling", suite, o);
-            for (const auto& [name, mech] : presets)
-                exp.add(name, mech);
-            return exp.run();
-        };
-        ExperimentOptions serial = opts;
-        serial.threads = 1;
-        serial.shards = 1;
-        auto t0 = std::chrono::steady_clock::now();
-        ExperimentResult sref = combined(serial);
-        scaleSerialSecs = secondsSince(t0);
-
-        ExperimentOptions sharded = opts;
-        sharded.threads = 1; // processes, not threads, carry the fan-out
-        sharded.shards = flags.shardScaling;
-        t0 = std::chrono::steady_clock::now();
-        ExperimentResult sres = combined(sharded);
-        scaleShardedSecs = secondsSince(t0);
-
-        if (sres.matrix().fingerprint() != sref.matrix().fingerprint())
-            fatal("sharded sweep diverged from the serial reference");
-        scaleSpeedup =
-            scaleShardedSecs > 0.0 ? scaleSerialSecs / scaleShardedSecs : 0.0;
-        std::printf("shard scaling      %u procs: %6.3fs vs %6.3fs serial "
-                    "(%.2fx)\n",
-                    flags.shardScaling, scaleShardedSecs, scaleSerialSecs,
-                    scaleSpeedup);
-        unsigned cpus = std::thread::hardware_concurrency();
-        if (cpus != 0 && cpus < flags.shardScaling) {
-            std::printf("  (note: only %u CPU%s visible — CPU-bound cells "
-                        "cannot speed up past that;\n   see the "
-                        "sleep-cell scaling assertion in tests/"
-                        "test_shard.cc for the harness ceiling)\n",
-                        cpus, cpus == 1 ? "" : "s");
-        }
-    }
-
     // ------------------------------------------------------------- JSON out
     JsonWriter w(2);
     w.beginObject().key("schema").str("constable-perf-v1").key("suite");
@@ -303,14 +249,6 @@ perfMain(int argc, char** argv)
         w.key("mops_per_sec").f64(t.mopsPerSec(), 3).endObject();
     }
     w.endArray();
-    if (flags.shardScaling > 1) {
-        w.key("shard_scaling").beginObject();
-        w.key("shards").u64(flags.shardScaling);
-        w.key("host_cpus").u64(std::thread::hardware_concurrency());
-        w.key("serial_seconds").f64(scaleSerialSecs, 6);
-        w.key("sharded_seconds").f64(scaleShardedSecs, 6);
-        w.key("speedup").f64(scaleSpeedup, 3).endObject();
-    }
     if (flags.sampledLeg) {
         w.key("sampled").beginObject().key("spec").str(sampleSpec.spec());
         w.key("presets").beginArray();

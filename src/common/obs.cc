@@ -1,7 +1,6 @@
 #include "common/obs.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +36,7 @@ struct SpanRec
 };
 
 /** A trace lane: one real thread's ring buffer, or a synthetic lane
- *  (merged shard partials, fleet machine classes). */
+ *  (fleet machine classes). */
 struct Lane
 {
     std::string name;
@@ -63,10 +62,13 @@ struct Registry
     uint64_t threadLaneCount = 0;
 };
 
+/** Immortal: pool worker threads and static destructors may still touch
+ *  the registry after static destruction has begun, so it is never
+ *  destroyed (the lanes' thread_local pointers rely on that too). */
 Registry&
 reg()
 {
-    static Registry r;
+    static Registry& r = *new Registry;
     return r;
 }
 
@@ -170,17 +172,6 @@ readAll(const std::string& path, std::string& out)
     bool ok = !std::ferror(f);
     std::fclose(f);
     return ok;
-}
-
-/** Lenient decimal parser for partial files: corrupt input must fail the
- *  merge, not fatal() the coordinator (env.hh's strict parsers are for
- *  operator-supplied knobs). No sign, no base prefix, no overflow. */
-bool
-parseU64Field(const std::string& s, uint64_t& out)
-{
-    const char* end = s.data() + s.size();
-    auto r = std::from_chars(s.data(), end, out);
-    return r.ec == std::errc() && r.ptr == end;
 }
 
 void
@@ -337,8 +328,7 @@ uint64_t
 obsNowUs()
 {
     // The epoch is pinned at static init (g_obsEpochPinned below), so
-    // fork children inherit it and their span timestamps align with the
-    // coordinator's on one CLOCK_MONOTONIC timeline.
+    // span timestamps count from process start, not from the first span.
     static const std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
     return static_cast<uint64_t>(
@@ -361,8 +351,7 @@ obsRecordSpan(const char* name, const char* cat, uint64_t start_us,
 
 namespace {
 
-/** Pin the span epoch before main() so every process (and every fork
- *  child) measures from the same early instant. */
+/** Pin the span epoch before main(). */
 const uint64_t g_obsEpochPinned = obsdetail::obsNowUs();
 
 /** Retry observer: counts faultio backoff sleeps and reconstructs each
@@ -578,104 +567,6 @@ obsWriteTrace(const std::string& path)
         w.endArray().endObject();
     }
     return writeAtomic(path, w.take());
-}
-
-bool
-obsSavePartial(const std::string& path, const std::string& lane_override)
-{
-    Registry& r = reg();
-    std::string out = "obs-partial v1\n";
-    {
-        std::lock_guard<std::mutex> lk(r.mu);
-        for (const auto& [name, c] : r.counters) {
-            if (c->value() != 0)
-                out += "C " + name + " " + std::to_string(c->value()) + "\n";
-        }
-        for (const auto& [name, g] : r.gauges) {
-            if (g->value() != 0)
-                out += "G " + name + " " + std::to_string(g->value()) + "\n";
-        }
-        for (const auto& [name, h] : r.histograms) {
-            if (h->count() == 0)
-                continue;
-            out += "H " + name + " " + std::to_string(h->count()) + " " +
-                   std::to_string(h->sum());
-            for (size_t b = 0; b < ObsHistogram::kBuckets; ++b) {
-                out += ' ';
-                out += std::to_string(h->bucket(b));
-            }
-            out += "\n";
-        }
-        uint64_t dropped = 0;
-        for (const auto& l : r.lanes) {
-            dropped += l->dropped;
-            for (const SpanRec& s : l->spans) {
-                out += "S " +
-                       (lane_override.empty() ? l->name : lane_override) +
-                       " " + std::to_string(s.startUs) + " " +
-                       std::to_string(s.durUs) + " " + std::string(s.cat) +
-                       " " + std::string(s.name) + "\n";
-            }
-        }
-        if (dropped != 0)
-            out += "D " + std::to_string(dropped) + "\n";
-    }
-    return writeAtomic(path, out);
-}
-
-bool
-obsMergePartial(const std::string& path)
-{
-    std::string text;
-    if (!readAll(path, text) || text.rfind("obs-partial v1\n", 0) != 0)
-        return false;
-
-    // Tokenize each line; malformed lines fail the whole merge (a torn
-    // partial should be noticed, not half-applied).
-    size_t pos = text.find('\n') + 1;
-    while (pos < text.size()) {
-        size_t eol = std::min(text.find('\n', pos), text.size());
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        // Split on spaces, except that a span's free-text name (the sixth
-        // field, "S lane start dur cat name...") keeps its spaces.
-        std::vector<std::string> f;
-        size_t start = 0, sp;
-        while ((f.size() < 5 || line[0] != 'S') &&
-               (sp = line.find(' ', start)) != std::string::npos) {
-            f.push_back(line.substr(start, sp - start));
-            start = sp + 1;
-        }
-        f.push_back(line.substr(start));
-        std::vector<uint64_t> n(f.size());
-        auto nums = [&](size_t from, size_t to) {
-            for (size_t i = from; i < to; ++i) {
-                if (!parseU64Field(f[i], n[i]))
-                    return false;
-            }
-            return true;
-        };
-
-        if (f[0] == "C" && f.size() == 3 && nums(2, 3)) {
-            obsCounter(f[1]).merge(n[2]);
-        } else if (f[0] == "G" && f.size() == 3 && nums(2, 3)) {
-            obsGauge(f[1]).merge(n[2]);
-        } else if (f[0] == "H" && f.size() == 4 + ObsHistogram::kBuckets &&
-                   nums(2, f.size())) {
-            obsHistogram(f[1]).merge(n[2], n[3], &n[4]);
-        } else if (f[0] == "S" && f.size() == 6 && nums(2, 4)) {
-            obsEmitSpan(f[1], f[5], f[4], n[2], n[3]);
-        } else if (f[0] == "D" && f.size() == 2 && nums(1, 2)) {
-            Registry& r = reg();
-            std::lock_guard<std::mutex> lk(r.mu);
-            namedLaneLocked(r, "merged").dropped += n[1];
-        } else {
-            return false;
-        }
-    }
-    return true;
 }
 
 // ----------------------------------------------------------- progress

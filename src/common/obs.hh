@@ -15,9 +15,7 @@
  * Arming happens through --trace-out / --metrics-out (or the
  * CONSTABLE_TRACE_OUT / CONSTABLE_METRICS_OUT env knobs): either output
  * path arms the registry and registers an atexit writer for the requested
- * files. Fork-based shard workers save their spans and counters as a
- * partial file which the coordinator merges, so one trace holds a lane
- * per shard process next to the coordinator's pool-worker lanes.
+ * files.
  *
  * Call sites keep a function-local static reference so the registry
  * lookup (a mutex + map) happens once per site:
@@ -86,9 +84,6 @@ class ObsCounter
     uint64_t value() const { return v_.load(std::memory_order_relaxed); }
     void reset() { v_.store(0, std::memory_order_relaxed); }
 
-    /** Ungated add for merging shard partials (not a hot path). */
-    void merge(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-
   private:
     std::atomic<uint64_t> v_ { 0 };
 };
@@ -107,9 +102,6 @@ class ObsGauge
 
     uint64_t value() const { return v_.load(std::memory_order_relaxed); }
     void reset() { v_.store(0, std::memory_order_relaxed); }
-
-    /** Ungated last-write-wins set for merging shard partials. */
-    void merge(uint64_t v) { v_.store(v, std::memory_order_relaxed); }
 
   private:
     std::atomic<uint64_t> v_ { 0 };
@@ -151,16 +143,6 @@ class ObsHistogram
             buckets_[b].store(0, std::memory_order_relaxed);
         count_.store(0, std::memory_order_relaxed);
         sum_.store(0, std::memory_order_relaxed);
-    }
-
-    /** Ungated bulk add for merging shard partials. */
-    void
-    merge(uint64_t count, uint64_t sum, const uint64_t* buckets)
-    {
-        for (size_t b = 0; b < kBuckets; ++b)
-            buckets_[b].fetch_add(buckets[b], std::memory_order_relaxed);
-        count_.fetch_add(count, std::memory_order_relaxed);
-        sum_.fetch_add(sum, std::memory_order_relaxed);
     }
 
   private:
@@ -231,7 +213,7 @@ class ObsSpan
     bool armed_;
 };
 
-/** Name the calling thread's trace lane ("pool-3", "shard-1", ...). The
+/** Name the calling thread's trace lane ("pool-3", ...). The
  *  first thread to record anything without naming itself is "main". */
 void obsSetThreadLane(const std::string& lane);
 
@@ -250,8 +232,7 @@ obsTimestampUs()
     return obsdetail::obsNowUs();
 }
 
-/** Spans dropped to ring overflow, across all lanes (plus merged
- *  partials). */
+/** Spans dropped to ring overflow, across all lanes. */
 uint64_t obsSpansDropped();
 
 /** Total spans currently buffered across all lanes. */
@@ -266,16 +247,6 @@ bool obsWriteMetrics(const std::string& path);
  *  chrome://tracing. Atomic. False on I/O failure. */
 bool obsWriteTrace(const std::string& path);
 
-/** Serialize this process's spans + counters + histograms to a
- *  line-oriented partial file; every thread-lane span is relabelled to
- *  `lane_override` (fork children: "shard-<k>"). Atomic. */
-bool obsSavePartial(const std::string& path,
-                    const std::string& lane_override);
-
-/** Merge a partial written by obsSavePartial into this process: counters
- *  and histograms add, spans append under their recorded lanes. */
-bool obsMergePartial(const std::string& path);
-
 // ------------------------------------------------------- live progress
 
 /** Configuration for one sweep's progress reporting. */
@@ -289,7 +260,7 @@ struct ObsProgressConfig
 };
 
 /** Begin progress tracking; replaces any previous sweep's state. Passive:
- *  starts no threads, so fork children inherit it safely. */
+ *  starts no threads. */
 void obsProgressBegin(const ObsProgressConfig& cfg);
 
 /** One cell finished locally; `ops` feeds the rolling Mops/s. */
@@ -304,8 +275,8 @@ void obsProgressUpdate(size_t done);
  *  them apart from computed cells. */
 void obsProgressNoteReused(size_t cells);
 
-/** Credit ops executed elsewhere (a shard coordinator summing merged
- *  cells) to the Mops/s accounting without advancing the done count. */
+/** Credit ops executed elsewhere (a fleet worker summing merged cells)
+ *  to the Mops/s accounting without advancing the done count. */
 void obsProgressNoteOps(uint64_t ops);
 
 /** Final update: marks state "done" in status.json and prints a closing

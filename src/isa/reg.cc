@@ -11,11 +11,14 @@ regName(uint8_t r)
     };
     if (r < 16)
         return names16[r];
+    // append, not literal + std::string: GCC 12 raises a false
+    // -Wrestrict on the inlined insert that operator+ expands to.
+    std::string num = std::to_string(static_cast<int>(r));
     if (r < kMaxArchRegs)
-        return "r" + std::to_string(static_cast<int>(r));
+        return std::string("r").append(num);
     if (r == kNoReg)
         return "<none>";
-    return "<bad:" + std::to_string(static_cast<int>(r)) + ">";
+    return std::string("<bad:").append(num).append(">");
 }
 
 } // namespace constable

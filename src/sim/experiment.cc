@@ -30,29 +30,6 @@ makeDirs(const std::string& dir, const char* what)
               "' cannot be created: " + ec.message());
 }
 
-/** Fresh private scratch directory under the system temp dir. */
-std::string
-makeTempDir(const char* prefix)
-{
-#if defined(__unix__) || defined(__APPLE__)
-    std::string tmpl = (std::filesystem::temp_directory_path() /
-                        (std::string(prefix) + "-XXXXXX"))
-                           .string();
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (!mkdtemp(buf.data()))
-        fatal("cannot create scratch directory from template " + tmpl);
-    return buf.data();
-#else
-    std::string dir = (std::filesystem::temp_directory_path() /
-                       (std::string(prefix) + "-" +
-                        sanitizeFileName(processOwnerTag())))
-                          .string();
-    makeDirs(dir, "scratch");
-    return dir;
-#endif
-}
-
 /** Parse the comma-separated registry preset names in @p list into out
  *  via the shared strict parser; fatal() when the list names nothing. */
 void
@@ -83,8 +60,8 @@ printUsage(const char* prog, int exit_code)
         "(0 = off)\n"
         "  --trace-cache-max-age-days=N drop cache entries older than N "
         "days (0 = off)\n"
-        "  --shards=N          fork N cooperating worker processes per "
-        "sweep\n"
+        "  --shards=N          fleet size with --shard-id; alone, run N "
+        "batch threads\n"
         "  --shard-id=K        join an externally launched fleet as worker "
         "K\n                      (requires --shards and a shared "
         "--checkpoint-dir)\n"
@@ -296,7 +273,7 @@ BatchOptions
 ExperimentOptions::batch() const
 {
     BatchOptions b;
-    b.threads = threads;
+    b.threads = shards > 1 && shardId < 0 ? shards : threads;
     b.seed = seed;
     return b;
 }
@@ -710,7 +687,7 @@ Experiment::runCells(bool smt)
                      : std::vector<std::pair<const Trace*, const Trace*>>{};
 
     // One cell = one deterministic simulation; shared by the in-process
-    // batch path, forked shard workers, and the merge recovery fallback.
+    // batch path, fleet workers, and the merge recovery fallback.
     auto computeCell = [&](size_t job) -> RunResult {
         size_t row = job / m.numConfigs;
         size_t cfgIdx = job % m.numConfigs;
@@ -731,19 +708,11 @@ Experiment::runCells(bool smt)
     };
 
     ShardOptions shardOpts = opts_.shard();
-    std::string root = opts_.checkpointDir;
-    std::string tempRoot;
+    const std::string& root = opts_.checkpointDir;
     if (shardOpts.active() && root.empty()) {
-        if (shardOpts.shardId >= 0) {
-            fatal("sharded worker mode (--shard-id / CONSTABLE_SHARD_ID) "
-                  "needs --checkpoint-dir on a filesystem every worker "
-                  "shares");
-        }
-        // Fork coordinator without a checkpoint dir: cells still travel
-        // between processes as files, so use a private scratch directory
-        // and discard it once the matrix is merged.
-        tempRoot = makeTempDir("constable-shards");
-        root = tempRoot;
+        fatal("sharded worker mode (--shard-id / CONSTABLE_SHARD_ID) "
+              "needs --checkpoint-dir on a filesystem every worker "
+              "shares");
     }
 
     SweepManifest manifest;
@@ -757,8 +726,7 @@ Experiment::runCells(bool smt)
 
     // Live progress: stderr one-liners plus a status.json in the sweep's
     // directory (constable-sweep --status pretty-prints it from another
-    // process). Passive state only, so forked shard workers inherit it and
-    // keep reporting.
+    // process).
     ObsProgressConfig pcfg;
     pcfg.label = name_;
     pcfg.total = m.results.size();
@@ -770,8 +738,8 @@ Experiment::runCells(bool smt)
         ShardOutcome oc =
             runShardedCells(root, manifest, computeCell, m.results,
                             shardOpts);
-        // The workers did the computing; credit the merged matrix's ops
-        // so the coordinator's closing report carries a real Mops/s.
+        // The fleet did the computing; credit the merged matrix's ops so
+        // the closing report carries a real Mops/s.
         uint64_t mergedOps = 0;
         for (const RunResult& r : m.results)
             mergedOps += r.instructions;
@@ -781,10 +749,6 @@ Experiment::runCells(bool smt)
         obsProgressNoteReused(oc.preExisting);
         obsProgressUpdate(m.results.size());
         obsProgressEnd();
-        if (!tempRoot.empty()) {
-            std::error_code ec;
-            std::filesystem::remove_all(tempRoot, ec);
-        }
         return ExperimentResult(*suite_, names_, std::move(m),
                                 oc.preExisting);
     }

@@ -63,8 +63,8 @@ struct ExperimentOptions
     /** Trace-cache entry age cap in days; 0 (default) disables age
      *  trimming. */
     uint64_t traceCacheMaxAgeDays = 0;
-    /** Process-level sharding: > 1 forks that many cooperating worker
-     *  processes per sweep (coordinator mode; see sim/shard.hh). */
+    /** Fleet size for sharded sweeps (see sim/shard.hh). Without a
+     *  shardId, > 1 runs the sweep on that many pool threads instead. */
     unsigned shards = 1;
     /** >= 0: this process is worker `shardId` of `shards` independently
      *  launched processes sharing checkpointDir (multi-machine mode). */
@@ -118,7 +118,8 @@ struct ExperimentOptions
      */
     static ExperimentOptions fromArgs(int argc, char** argv);
 
-    /** The thread/seed subset consumed by the batch runner. */
+    /** The thread/seed subset consumed by the batch runner. A lone
+     *  shards > 1 (no shardId) sets the thread count. */
     BatchOptions batch() const;
 
     /** The process-parallelism subset consumed by sim/shard.hh; fatal()
@@ -126,9 +127,8 @@ struct ExperimentOptions
     ShardOptions shard() const;
 
     /** True when this process should print human-readable reports: single
-     *  process runs, fork coordinators, and shard 0 of a launched fleet
-     *  (every shard computes and merges the same full result; only one
-     *  should narrate it). */
+     *  process runs and shard 0 of a launched fleet (every shard computes
+     *  and merges the same full result; only one should narrate it). */
     bool printsReport() const { return shardId <= 0; }
 };
 
@@ -259,7 +259,7 @@ class ExperimentResult
 
     /** Cells served from the cell store instead of simulated: resumed
      *  cells, cells another experiment committed, and duplicates of a cell
-     *  earlier in this sweep. Sharded runs count the cells already stored
+     *  earlier in this sweep. Fleet workers count the cells already stored
      *  when they started. */
     size_t resumedCells() const { return resumedCells_; }
 
@@ -317,11 +317,10 @@ class Experiment
     size_t numConfigs() const { return factories_.size(); }
 
     /** Run the {trace x config} matrix (gs sets attached when inspected).
-     *  With opts.shards > 1 the matrix is executed by forked worker
-     *  processes claiming cells through the checkpoint directory; with
-     *  opts.shardId >= 0 this process joins an externally launched fleet.
-     *  Either way the returned matrix is complete and bit-identical to a
-     *  single-process run. */
+     *  With opts.shardId >= 0 this process joins an externally launched
+     *  fleet claiming cells through the checkpoint directory. Either way
+     *  the returned matrix is complete and bit-identical to a serial
+     *  run. */
     ExperimentResult run();
 
     /** Run the {SMT2 pair x config} matrix over smtTracePairs(). */

@@ -88,7 +88,7 @@ struct SampleWindow
  * share of the cluster population, sorted by begin. A pure function
  * of (seed, trace content, opts) — thread count, row index and shard
  * layout never reach it, which is what makes sampled sweeps bit-identical
- * across 1/N-thread and fork-shard execution.
+ * across 1/N-thread and fleet-worker execution.
  */
 std::vector<SampleWindow> selectSampleWindows(const Trace& trace,
                                               const SampleOptions& opts,

@@ -17,12 +17,7 @@
 #include "common/logging.hh"
 #include "common/obs.hh"
 
-// fork()-based coordinator mode is POSIX-only; other platforms fall back
-// to computing the whole matrix in-process (still through the lease
-// protocol, so on-disk artifacts are identical).
 #if defined(__unix__) || defined(__APPLE__)
-#define CONSTABLE_HAVE_FORK 1
-#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -480,75 +475,6 @@ workerLoop(WorkerCtx& ctx)
     }
 }
 
-#ifdef CONSTABLE_HAVE_FORK
-
-/** Fork `shards` single-threaded workers over the claim loop and reap
- *  them. Child processes _exit() without running static destructors: they
- *  inherited the coordinator's thread pool, whose worker threads do not
- *  exist after fork(). */
-void
-forkWorkers(const std::string& root, const SweepManifest& m,
-            const CellFn& compute, const ShardOptions& opts,
-            ShardOutcome& outcome)
-{
-    // Obs partials go to the sweep's own directory: concurrent sweeps of
-    // other experiments may share the root.
-    const std::string partialDir = sweepDirPath(root, m);
-    std::vector<pid_t> pids;
-    for (unsigned k = 0; k < opts.shards; ++k) {
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            warn("fork() failed for shard worker " + std::to_string(k) +
-                 "; continuing with fewer workers");
-            break;
-        }
-        if (pid == 0) {
-            ShardOptions w = opts;
-            w.shardId = static_cast<int>(k);
-            w.batch.threads = 1; // never touch the inherited pool
-            WorkerCtx ctx { root, m, compute, w, {}, {}, {} };
-            ctx.done.assign(m.numCells(), 0);
-            ctx.claimOrder = buildClaimOrder(root, m, w);
-            workerLoop(ctx);
-            // _exit() skips the atexit trace/metrics writers on purpose
-            // (they belong to the coordinator); hand the child's obs state
-            // back through a partial file instead, lane-tagged by shard.
-            if (obsArmed()) {
-                obsSavePartial(partialDir + "/obs-shard-" + std::to_string(k) +
-                                   ".partial",
-                               "shard-" + std::to_string(k));
-            }
-            std::fflush(nullptr);
-            ::_exit(0);
-        }
-        pids.push_back(pid);
-        ++outcome.workersForked;
-    }
-    for (pid_t pid : pids) {
-        int status = 0;
-        if (::waitpid(pid, &status, 0) < 0 ||
-            !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-            ++outcome.workersFailed;
-            warn("shard worker pid " + std::to_string(pid) +
-                 " exited abnormally; its cells will be recovered");
-        }
-    }
-    if (obsArmed()) {
-        for (unsigned k = 0; k < opts.shards; ++k) {
-            std::string p =
-                partialDir + "/obs-shard-" + std::to_string(k) + ".partial";
-            if (!fileExists(p))
-                continue; // worker died before saving: cells recover, obs
-                          // from that shard is simply absent
-            obsMergePartial(p);
-            std::error_code ec;
-            fs::remove(p, ec);
-        }
-    }
-}
-
-#endif // CONSTABLE_HAVE_FORK
-
 } // namespace
 
 std::string
@@ -689,6 +615,7 @@ runShardedCells(const std::string& root, const SweepManifest& m,
                 const CellFn& compute, std::vector<RunResult>& out,
                 const ShardOptions& opts)
 {
+    CONSTABLE_ASSERT(opts.active(), "runShardedCells needs a shard id");
     ShardOutcome outcome;
     const std::string sweepDir = sweepDirPath(root, m);
     for (const std::string& d : { sweepDir, cellStoreDir(root) }) {
@@ -712,30 +639,13 @@ runShardedCells(const std::string& root, const SweepManifest& m,
     static ObsCounter& hits = obsCounter("ckpt.cell.hit");
     hits.add(outcome.preExisting);
 
-    if (opts.shardId >= 0) {
-        // Worker mode: independently launched process of a fleet sharing
-        // this directory. Claim until the matrix is complete, then merge
-        // so every shard returns the same full result.
-        WorkerCtx ctx { root, m, compute, opts, outcome, {}, {} };
-        ctx.done.assign(m.numCells(), 0);
-        ctx.claimOrder = buildClaimOrder(root, m, opts);
-        workerLoop(ctx);
-        outcome = ctx.outcome;
-        mergeShardedCells(root, m, &compute, out, opts, outcome);
-        return outcome;
-    }
-
-#ifdef CONSTABLE_HAVE_FORK
-    // Coordinator mode: fork the fleet, reap it, assemble the matrix.
-    forkWorkers(root, m, compute, opts, outcome);
-#else
-    // No fork(): compute everything here, still via the lease protocol.
+    // Claim until the matrix is complete, then merge so every shard
+    // returns the same full result.
     WorkerCtx ctx { root, m, compute, opts, outcome, {}, {} };
     ctx.done.assign(m.numCells(), 0);
     ctx.claimOrder = buildClaimOrder(root, m, opts);
     workerLoop(ctx);
     outcome = ctx.outcome;
-#endif
     mergeShardedCells(root, m, &compute, out, opts, outcome);
     return outcome;
 }

@@ -2,8 +2,8 @@
  * @file
  * Sharded multi-process sweep execution: a process tier above the batch
  * thread pool. A sweep's {row x config} cells are deterministic functions
- * of their index, its checkpoint files are mergeable (PR 2), so any number
- * of processes sharing one checkpoint directory can cooperate on a matrix:
+ * of their index and its checkpoint files are mergeable, so any number of
+ * processes sharing one checkpoint directory can cooperate on a matrix:
  *
  *  - Cells are claimed dynamically through atomic O_CREAT|O_EXCL lease
  *    files next to the cell checkpoints. A claimed cell is computed,
@@ -15,15 +15,14 @@
  *    are atomic renames of byte-identical results, the (rare) reclaim race
  *    where two workers compute one cell is benign.
  *
- *  - Two launch modes share the claim loop. Coordinator mode
- *    (opts.shards > 1, shardId < 0) fork()s N single-threaded workers,
- *    waits for them, then merges the checkpoint files — missing or
- *    checksum-failing cells are recomputed locally, so the merged matrix
- *    is always complete and bit-identical to a single-process run.
- *    Worker mode (shardId >= 0, set via CONSTABLE_SHARD_ID or --shard-id)
- *    is for independently launched processes on machines sharing a
- *    filesystem: each claims cells until the matrix is done, then merges,
- *    so every shard returns the same full result.
+ *  - Each process is a worker (shardId >= 0, set via CONSTABLE_SHARD_ID
+ *    or --shard-id), launched independently on machines sharing a
+ *    filesystem: it claims cells until the matrix is done, then merges
+ *    the checkpoint files — missing or checksum-failing cells are
+ *    recomputed locally — so every shard returns the same full matrix,
+ *    bit-identical to a single-process run. Parallelism inside one host
+ *    is the batch thread pool's job; a lone --shards=N only sizes it
+ *    (ExperimentOptions::batch()).
  *
  *  - Cells live in the checkpoint root's content-addressed store,
  *    <root>/cells/<hex16 key>.rr, keyed by what they simulate
@@ -49,14 +48,13 @@ namespace constable {
 /** Process-level parallelism knobs (ExperimentOptions::shard()). */
 struct ShardOptions
 {
-    /** Safety cap on the worker count a coordinator will fork. */
+    /** Safety cap on the declared fleet size. */
     static constexpr unsigned kMaxShards = 256;
 
-    /** Cooperating worker count: fork count in coordinator mode, expected
-     *  fleet size (for claim-order striding) in worker mode. */
+    /** Expected fleet size, for claim-order striding. */
     unsigned shards = 1;
     /** >= 0: this process is worker k of `shards` on a shared checkpoint
-     *  directory; it claims cells instead of forking. */
+     *  directory. */
     int shardId = -1;
     /** A lease older than this is considered orphaned and is reclaimed.
      *  Must exceed the worst-case single-cell runtime. */
@@ -73,13 +71,10 @@ struct ShardOptions
      *  where one worker holds the last big cell while the rest poll.
      *  Empty, missing or unparsable files fall back to stride order. */
     std::string costModelPath;
-    /** Thread/seed knobs for cells this process computes itself. Forked
-     *  workers are forced serial (threads = 1): process-level parallelism
-     *  replaces the pool, and a fork()ed child must never touch the
-     *  global pool it inherited from the coordinator. */
+    /** Thread/seed knobs for cells this process computes itself. */
     BatchOptions batch;
 
-    bool active() const { return shards > 1 || shardId >= 0; }
+    bool active() const { return shardId >= 0; }
 };
 
 /** What a sharded execution did locally (stats for logs/benches/tests). */
@@ -93,8 +88,6 @@ struct ShardOutcome
     size_t preExisting = 0;
     size_t reclaimed = 0;     ///< stale leases this process reclaimed
     size_t staleTmpRemoved = 0; ///< orphaned tmp files cleaned at merge
-    size_t workersForked = 0;
-    size_t workersFailed = 0; ///< forked workers that exited abnormally
     /** Cells whose checkpoint file existed at merge but failed its
      *  checksum (torn write / mangled file); each is regenerated. */
     size_t corruptCells = 0;
@@ -117,7 +110,7 @@ using CellFn = std::function<RunResult(size_t cell)>;
 std::string cellStoreDir(const std::string& root);
 
 /** The sweep's own directory under a checkpoint root (manifest,
- *  status.json, shard obs partials): <root>/<experiment>-<hex16 identity>. */
+ *  status.json): <root>/<experiment>-<hex16 identity>. */
 std::string sweepDirPath(const std::string& root, const SweepManifest& m);
 
 /** Stored result of one cell, resolved through the manifest:
@@ -139,11 +132,10 @@ std::string cellLeasePath(const std::string& root, const SweepManifest& m,
 void writeOrVerifyManifest(const std::string& dir, const SweepManifest& m);
 
 /**
- * Execute all cells of `m` cooperatively over the store under `root` and
- * fill `out` (resized to m.numCells()) with the complete merged matrix.
+ * Join the fleet as worker opts.shardId: claim and compute cells of `m`
+ * over the store under `root` until every cell is committed, then fill
+ * `out` (resized to m.numCells()) with the complete merged matrix.
  * Writes (or verifies) the manifest into sweepDirPath(root, m) first.
- * Dispatches on opts: coordinator mode forks workers and merges; worker
- * mode claims cells and merges when the matrix is complete.
  */
 ShardOutcome runShardedCells(const std::string& root, const SweepManifest& m,
                              const CellFn& compute,

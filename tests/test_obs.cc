@@ -5,9 +5,9 @@
  * either way), the span ring drops and counts on overflow, status.json is
  * atomically rewritten (a concurrent reader never sees a torn file), the
  * emitted Chrome trace-event and metrics JSON parse under the strict
- * reader (common/json.hh) to the recorded values, and shard partial files
- * round-trip counters/histograms/spans through save + merge. Plus the
- * CONSTABLE_LOG_LEVEL satellite: warnOnce/warnEvery dedup state.
+ * reader (common/json.hh) to the recorded values, and a static destructor
+ * may still touch obs at exit. Plus the CONSTABLE_LOG_LEVEL satellite:
+ * warnOnce/warnEvery dedup state.
  */
 
 #include <gtest/gtest.h>
@@ -211,59 +211,44 @@ TEST_F(ObsTest, MetricsSnapshotIsWellFormedJson)
     EXPECT_EQ(member(hist, "buckets").items.size(), ObsHistogram::kBuckets);
 }
 
-// ------------------------------------------------------- shard partials
+// ------------------------------------------------------ exit-time teardown
 
-TEST_F(ObsTest, PartialSaveMergeRoundTrips)
+/** Touches obs from a static destructor, as a pool worker still running
+ *  at exit would: a new thread registers a lane, and a counter recorded
+ *  before exit must still read back (a destroyed registry loses or
+ *  garbles it, or crashes the lookup). */
+struct ExitTimeObsUser
 {
-    obsArm();
-    obsCounter("test.partial.counter").add(11);
-    obsHistogram("test.partial.hist").record(100);
+    ~ExitTimeObsUser()
     {
-        ObsSpan s("cell.compute", "cell");
+        std::thread([] { obsSetThreadLane("exit-time"); }).join();
+        if (obsCounter("test.exit_time.counter").value() != 1)
+            std::_Exit(3);
     }
-    std::string path = dir + "/obs-shard-0.partial";
-    ASSERT_TRUE(obsSavePartial(path, "shard-0"));
+};
 
-    obsReset();
-    obsArm();
-    EXPECT_EQ(obsCounter("test.partial.counter").value(), 0u);
-    ASSERT_TRUE(obsMergePartial(path));
-    EXPECT_EQ(obsCounter("test.partial.counter").value(), 11u);
-    EXPECT_EQ(obsHistogram("test.partial.hist").count(), 1u);
-    EXPECT_EQ(obsHistogram("test.partial.hist").sum(), 100u);
-    // The span came back under the override lane.
-    std::string trace = dir + "/trace.json";
-    ASSERT_TRUE(obsWriteTrace(trace));
-    std::string json = obsReadStatus(trace);
-    EXPECT_NE(json.find("\"shard-0\""), std::string::npos) << json;
-    EXPECT_NE(json.find("\"cell.compute\""), std::string::npos) << json;
-}
-
-TEST_F(ObsTest, CorruptPartialFailsWholeMerge)
+/**
+ * Static-lifetime objects and pool worker threads may reach obs after
+ * static destruction has begun. Here the user is built before obs's
+ * registry is first touched, so a function-local-static registry would
+ * be destroyed first and the user's destructor would touch freed memory.
+ */
+TEST(ObsDeathTest, StaticDestructorTouchingObsExitsCleanly)
 {
-    obsArm();
-    std::string path = dir + "/bad.partial";
-
-    // Wrong header.
-    ASSERT_TRUE(fs::exists(dir));
-    {
-        std::string text = "not-a-partial\nC x 1\n";
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(obsMergePartial(path));
-
-    // Malformed counter value: merge must reject, not half-apply.
-    {
-        std::string text = "obs-partial v1\nC test.bad.counter 12x4\n";
-        std::FILE* f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(obsMergePartial(path));
+    // Threadsafe style re-executes the binary, so obs is untouched in
+    // the child until the statement below touches it.
+    std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            static ExitTimeObsUser user;
+            obsArm();
+            obsSetThreadLane("main");
+            obsCounter("test.exit_time.counter").add();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // --------------------------------------------------------- live progress

@@ -2,7 +2,7 @@
  * @file
  * Tests for phase-sampled simulation (sim/sample.hh): window selection is
  * a pure function of (seed, trace, spec); a sampled sweep is bit-identical
- * across 1/4/8 threads and fork-shard execution; malformed --sample specs
+ * across 1/4/8 threads and fleet-worker execution; malformed --sample specs
  * terminate instead of being reinterpreted; sampled and full-fidelity
  * sweeps get disjoint cell-store keys; and "sample.*" stat
  * keys appear exactly when sampling ran (never on the full-fidelity
@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -86,8 +88,9 @@ TEST(SampleSelect, SameSeedSelectsIdenticalWindows)
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].end - a[i].begin, opts.sample.window);
         EXPECT_LE(a[i].end, t.ops.size());
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i].begin, a[i - 1].begin);
+        }
         wsum += a[i].weight;
     }
     EXPECT_LE(wsum, 1.0 + 1e-9);
@@ -112,20 +115,26 @@ TEST(SampleDeterminism, BitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(SampleDeterminism, ForkShardMatchesInProcess)
+TEST(SampleDeterminism, WorkerShardMatchesInProcess)
 {
-#if !defined(__unix__) && !defined(__APPLE__)
-    GTEST_SKIP() << "fork-shard mode is POSIX-only";
-#endif
     ExperimentResult serial = runSampled(sampledOpts(1));
 
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "constable-sample-XXXXXX")
+            .string();
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    ASSERT_NE(mkdtemp(buf.data()), nullptr);
     ExperimentOptions sharded = sampledOpts(1);
-    sharded.shards = 3; // fork coordinator, private scratch checkpoint
-    ExperimentResult forked = runSampled(sharded);
+    sharded.shards = 3;
+    sharded.shardId = 0; // fleet worker: claims cells through leases
+    sharded.checkpointDir = buf.data();
+    ExperimentResult worker = runSampled(sharded);
+    std::filesystem::remove_all(sharded.checkpointDir);
 
     for (size_t row = 0; row < serial.numRows(); ++row) {
         for (size_t cfg = 0; cfg < 2; ++cfg) {
-            EXPECT_EQ(serializeRunResult(forked.at(row, cfg)),
+            EXPECT_EQ(serializeRunResult(worker.at(row, cfg)),
                       serializeRunResult(serial.at(row, cfg)));
         }
     }

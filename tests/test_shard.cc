@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the sharded multi-process sweep subsystem (sim/shard.hh):
- * lease-file claim semantics, manifest pinning, fork-coordinator runs that
- * are bit-identical to single-process runs, SIGKILL crash recovery through
+ * lease-file claim semantics, manifest pinning, fleet-worker runs that are
+ * bit-identical to single-process runs, SIGKILL crash recovery through
  * mtime-based lease reclaim, and merge-time regeneration of corrupt cells
  * and cleanup of orphaned tmp files.
  */
@@ -345,11 +345,11 @@ TEST_F(ShardTest, CorruptCellsAreRegeneratedAndStaleTmpFilesSwept)
 // ---------------------------------------------------------------- scaling
 
 /**
- * The subsystem's reason to exist: N workers must genuinely overlap. Cells
- * that sleep (rather than burn CPU) make the measurement independent of
- * how many cores this machine has, so the >= 2.5x-at-4-shards floor holds
- * even on a 1-CPU CI container; perf_regression --shard-scaling records
- * the CPU-bound counterpart (which needs >= 4 real cores to hit 2.5x).
+ * The subsystem's reason to exist: N workers must genuinely overlap. Four
+ * fleet workers (shard ids 0..3, one thread each) share one directory.
+ * Cells that sleep (rather than burn CPU) make the measurement independent
+ * of how many cores this machine has, so the >= 2.5x-at-4-shards floor
+ * holds even on a 1-CPU CI container.
  */
 TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
 {
@@ -366,13 +366,19 @@ TEST_F(ShardTest, FourShardsOverlapForAtLeast2point5x)
     auto timeRun = [&](unsigned shards, const std::string& sub) {
         std::string d = dir + "/" + sub;
         fs::create_directories(d);
-        ShardOptions o;
-        o.shards = shards;
-        o.pollMs = 10;
-        o.batch.threads = 1;
-        std::vector<RunResult> out;
         auto t0 = std::chrono::steady_clock::now();
-        runShardedCells(d, m, compute, out, o);
+        std::vector<std::thread> workers;
+        for (unsigned k = 0; k < shards; ++k) {
+            workers.emplace_back([&, k] {
+                ShardOptions o = workerOpts(static_cast<int>(k));
+                o.shards = shards;
+                o.pollMs = 10;
+                std::vector<RunResult> out;
+                runShardedCells(d, m, compute, out, o);
+            });
+        }
+        for (std::thread& w : workers)
+            w.join();
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
             .count();
@@ -659,12 +665,14 @@ twoSpecs()
     return specs;
 }
 
-TEST_F(ShardTest, ForkCoordinatorMatchesSerialRunBitExactly)
+/** A lone --shards=3 (no shard id) runs the sweep on three pool threads,
+ *  with checkpoint commits when a checkpoint dir is set. */
+TEST_F(ShardTest, LoneShardsFlagMatchesSerialRunBitExactly)
 {
     ExperimentOptions serial = tinyOpts();
     Suite suite = Suite::fromSpecs(twoSpecs(), serial);
     auto build = [&](const ExperimentOptions& o) {
-        Experiment e("forked", suite, o);
+        Experiment e("lone-shards", suite, o);
         e.add("baseline", mechFor("baseline"))
             .add("constable", mechFor("constable"))
             .add("eves", mechFor("eves"));
@@ -675,6 +683,8 @@ TEST_F(ShardTest, ForkCoordinatorMatchesSerialRunBitExactly)
     ExperimentOptions sharded = tinyOpts();
     sharded.shards = 3;
     sharded.checkpointDir = dir;
+    EXPECT_FALSE(sharded.shard().active());
+    EXPECT_EQ(sharded.batch().threads, 3u);
     auto res = build(sharded).run();
     EXPECT_EQ(res.resumedCells(), 0u); // fresh sweep: nothing was resumed
 
@@ -692,22 +702,6 @@ TEST_F(ShardTest, ForkCoordinatorMatchesSerialRunBitExactly)
     auto merged = build(sharded).merge();
     EXPECT_EQ(merged.matrix().fingerprint(), ref.matrix().fingerprint());
     EXPECT_EQ(merged.resumedCells(), 6u);
-}
-
-TEST_F(ShardTest, ForkCoordinatorWithoutCheckpointDirUsesScratch)
-{
-    ExperimentOptions serial = tinyOpts();
-    Suite suite = Suite::fromSpecs(twoSpecs(), serial);
-    auto run = [&](const ExperimentOptions& o) {
-        return Experiment("scratch", suite, o)
-            .add("baseline", mechFor("baseline"))
-            .run();
-    };
-    auto ref = run(serial);
-    ExperimentOptions sharded = tinyOpts();
-    sharded.shards = 2; // no checkpointDir: private scratch, auto-removed
-    auto res = run(sharded);
-    EXPECT_EQ(res.matrix().fingerprint(), ref.matrix().fingerprint());
 }
 
 TEST_F(ShardTest, WorkerModeRequiresCheckpointDir)

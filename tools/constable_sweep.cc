@@ -1,13 +1,13 @@
 /**
  * @file
- * constable-sweep: the coordinator CLI for sharded multi-process sweeps.
- * Runs the paper's full mechanism-preset matrix (16 named configurations x
- * the 90-trace suite) through the Experiment API and prints per-preset
- * geomean speedups plus a byte-level result fingerprint (FNV chained over
- * every cell's serialized RunResult, in row-major order) so runs at
- * different shard/thread counts can be diffed for bit-identity.
+ * constable-sweep: the CLI for full-matrix and sharded multi-process
+ * sweeps. Runs the paper's full mechanism-preset matrix (16 named
+ * configurations x the 90-trace suite) through the Experiment API and
+ * prints per-preset geomean speedups plus a byte-level result fingerprint
+ * (FNV chained over every cell's serialized RunResult, in row-major order)
+ * so runs at different shard/thread counts can be diffed for bit-identity.
  *
- * Single machine, 4 worker processes:
+ * Single machine, 4 pool threads (the same as --threads=4):
  *   constable-sweep --shards=4
  *
  * Fleet on a shared filesystem (one process per machine; any worker can
