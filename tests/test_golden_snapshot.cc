@@ -120,6 +120,29 @@ TEST(GoldenSnapshot, NoSmtPresetsBitIdentical)
     }
 }
 
+/** Chained fingerprint of one preset over every suite row on @p core. The
+ *  stat sums in @p totals let a case prove the paths it meant to cover
+ *  actually ran. */
+uint64_t
+noSmtFingerprint(const Suite& suite, const char* preset,
+                 const CoreConfig& core, StatSet* totals = nullptr)
+{
+    uint64_t fp = 0xcbf29ce484222325ull;
+    for (size_t row = 0; row < suite.size(); ++row) {
+        const auto& gs = suite.globalStablePcs(row);
+        SystemConfig cfg { core, mechFor(preset, &gs) };
+        RunResult r = runTrace(suite.trace(row), cfg, &gs);
+        EXPECT_FALSE(r.goldenCheckFailed)
+            << preset << ": " << r.goldenCheckMessage;
+        if (totals)
+            totals->merge(r.stats);
+        auto bytes = serializeRunResult(r);
+        fp ^= fnv1a(bytes.data(), bytes.size());
+        fp *= 0x100000001b3ull;
+    }
+    return fp;
+}
+
 TEST(GoldenSnapshot, Smt2PresetsBitIdentical)
 {
     const PresetCase kCases[2] = {
@@ -146,6 +169,127 @@ TEST(GoldenSnapshot, Smt2PresetsBitIdentical)
         }
         EXPECT_EQ(kCases[p].expected, hex16(fp)) << kCases[p].name;
     }
+}
+
+/** 20k-op traces: every thread's ROB ring wraps about 40 times, and
+ *  squashes (branch, ordering and value-mispredict) occur, so the in-flight
+ *  window's wrap and truncate paths are locked, not just its fill. */
+ExperimentOptions
+longOpts()
+{
+    ExperimentOptions opts = snapshotOpts();
+    opts.traceOps = 20000;
+    return opts;
+}
+
+TEST(GoldenSnapshot, LongTraceNoSmtBitIdentical)
+{
+    const PresetCase kCases[16] = {
+        { "baseline", "1dff7974fc2f3f26" },
+        { "constable", "b34ea18cf06eb10d" },
+        { "eves", "62dad3090115e366" },
+        { "eves+constable", "8dec6e7d5c5acfdf" },
+        { "elar", "b42f0dfba6294a25" },
+        { "rfp", "1f80f38824ad3a38" },
+        { "elar+constable", "ff5315f006f22848" },
+        { "rfp+constable", "9c77282e48921417" },
+        { "constable-pcrel", "b80fb35073efa968" },
+        { "constable-stackrel", "7304c3f7829aa05d" },
+        { "constable-regrel", "4aef8d9160751ef6" },
+        { "constable-amt-i", "8f4969ff6b65fa64" },
+        { "ideal-stable-lvp", "bc9dd980180cc773" },
+        { "ideal-stable-lvp-nofetch", "b03b49f2eb9684ed" },
+        { "ideal-constable", "ddbf2160cb6a1852" },
+        { "eves+ideal-constable", "aebced5878eb2d27" },
+    };
+
+    Suite suite = Suite::prepare(longOpts(), true);
+    ASSERT_EQ(suite.size(), 4u);
+    StatSet totals;
+    for (const PresetCase& c : kCases)
+        EXPECT_EQ(c.expected,
+                  hex16(noSmtFingerprint(suite, c.name, CoreConfig{},
+                                         &totals)))
+            << c.name;
+    // The window paths these fingerprints are meant to lock all ran.
+    EXPECT_GT(totals.get("fbu.squash"), 0.0);
+    EXPECT_GT(totals.get("ordering.violations"), 0.0);
+    EXPECT_GT(totals.get("vp.flushes"), 0.0);
+    EXPECT_GT(totals.get("mrn.predictions"), 0.0);
+}
+
+TEST(GoldenSnapshot, LongTraceSmt2BitIdentical)
+{
+    const PresetCase kCases[2] = {
+        { "smt2-baseline", "6585f1409662b2dd" },
+        { "smt2-constable", "c6978b4c295f12d0" },
+    };
+
+    Suite suite = Suite::prepare(longOpts(), true);
+    auto pairs = suite.smtTracePairs();
+    ASSERT_FALSE(pairs.empty());
+    StatSet totals;
+    for (size_t p = 0; p < 2; ++p) {
+        uint64_t fp = 0xcbf29ce484222325ull;
+        for (const auto& [t0, t1] : pairs) {
+            SystemConfig cfg { CoreConfig{},
+                               p == 0 ? mechFor("baseline") : mechFor("constable") };
+            cfg.core.smt2 = true;
+            RunResult r = runSmtPair(*t0, *t1, cfg);
+            EXPECT_FALSE(r.goldenCheckFailed)
+                << kCases[p].name << ": " << r.goldenCheckMessage;
+            totals.merge(r.stats);
+            auto bytes = serializeRunResult(r);
+            fp ^= fnv1a(bytes.data(), bytes.size());
+            fp *= 0x100000001b3ull;
+        }
+        EXPECT_EQ(kCases[p].expected, hex16(fp)) << kCases[p].name;
+    }
+    EXPECT_GT(totals.get("fbu.squash"), 0.0);
+}
+
+TEST(GoldenSnapshot, DepthScaledCoreBitIdentical)
+{
+    // Fig 20's deepest pipeline: ROB 1536, LB 720, SB 336 -- ring and
+    // bitmap sizes that are not powers of two.
+    const PresetCase kCases[] = {
+        { "baseline", "9b52f5645df2e033" },
+        { "constable", "feace24ab62423e2" },
+        { "eves", "676473dff1f03de0" },
+    };
+
+    CoreConfig core;
+    core.depthScale = 3;
+    ASSERT_EQ(core.robPerThread(), 1536u);
+    ASSERT_EQ(core.lbPerThread(), 720u);
+    ASSERT_EQ(core.sbPerThread(), 336u);
+    Suite suite = Suite::prepare(longOpts(), true);
+    for (const PresetCase& c : kCases)
+        EXPECT_EQ(c.expected, hex16(noSmtFingerprint(suite, c.name, core)))
+            << c.name;
+}
+
+TEST(GoldenSnapshot, SmallLsqCoreBitIdentical)
+{
+    // The default LB/SB never fill on these traces (the ROB binds first);
+    // shrunken ones make the LB/SB rings run full and exercise the
+    // LB-full and SB-full rename stalls.
+    const PresetCase kCases[] = {
+        { "baseline", "6c3761ad59a39cf3" },
+        { "constable", "6c4c863ff91d6f05" },
+    };
+
+    CoreConfig core;
+    core.lbEntries = 40;
+    core.sbEntries = 12;
+    Suite suite = Suite::prepare(longOpts(), true);
+    StatSet totals;
+    for (const PresetCase& c : kCases)
+        EXPECT_EQ(c.expected,
+                  hex16(noSmtFingerprint(suite, c.name, core, &totals)))
+            << c.name;
+    EXPECT_GT(totals.get("stall.lbFull"), 0.0);
+    EXPECT_GT(totals.get("stall.sbFull"), 0.0);
 }
 
 } // namespace
