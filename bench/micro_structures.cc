@@ -1,13 +1,17 @@
 /**
  * @file
  * google-benchmark microbenchmarks of Constable's hardware-structure
- * models: SLD lookup/train, RMT insert/drain, AMT insert/invalidate, and
- * the end-to-end engine rename path. These gauge simulator throughput
- * (not hardware latency) so regressions in the model's hot paths surface.
+ * models (SLD lookup/train, RMT insert/drain, AMT insert/invalidate, the
+ * end-to-end engine rename path) and of the core's in-flight window
+ * structures (the ready-bitmap oldest-first select, the store-buffer chunk
+ * index, the LB/SB rings). These gauge simulator throughput (not hardware
+ * latency) so regressions in the model's hot paths surface.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/flat.hh"
+#include "common/rng.hh"
 #include "core/constable.hh"
 
 namespace constable {
@@ -42,12 +46,14 @@ void
 BM_RmtInsertDrain(benchmark::State& state)
 {
     Rmt rmt;
-    std::vector<PC> evicted;
+    std::vector<PC> evicted, drained;
     PC pc = 0;
     for (auto _ : state) {
         rmt.insert(RBX, 0x400000 + 4 * (pc++ % 8), evicted);
         if (pc % 8 == 0) {
-            benchmark::DoNotOptimize(rmt.drainOnWrite(RBX));
+            rmt.drainOnWrite(RBX, drained);
+            benchmark::DoNotOptimize(drained.data());
+            benchmark::ClobberMemory();
             evicted.clear();
         }
     }
@@ -58,14 +64,16 @@ void
 BM_AmtInsertInvalidate(benchmark::State& state)
 {
     Amt amt;
-    std::vector<PC> evicted;
+    std::vector<PC> evicted, invalidated;
     Addr a = 0;
     for (auto _ : state) {
         amt.insert(0x10000 + 64 * (a % 128), 0x400000 + 4 * (a % 64),
                    evicted);
-        if (a % 4 == 3)
-            benchmark::DoNotOptimize(
-                amt.invalidate(0x10000 + 64 * (a % 128)));
+        if (a % 4 == 3) {
+            amt.invalidate(0x10000 + 64 * (a % 128), invalidated);
+            benchmark::DoNotOptimize(invalidated.data());
+            benchmark::ClobberMemory();
+        }
         ++a;
         evicted.clear();
     }
@@ -94,6 +102,116 @@ BM_EngineRenamePath(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EngineRenamePath);
+
+/** Issue-stage select: one ROB ring per thread (512 / threads entries,
+ *  nearly full, head mid-ring), a quarter of its ops ready, and up to 5
+ *  oldest picked per cycle across threads, then re-readied. */
+void
+BM_ReadySelect(benchmark::State& state)
+{
+    const unsigned threads = static_cast<unsigned>(state.range(0));
+    const size_t cap = 512 / threads;
+    RingIndex rob[2];
+    RingBitmap ready[2];
+    std::vector<uint64_t> gen[2];
+    Rng rng(1);
+    uint64_t g = 1;
+    for (unsigned t = 0; t < threads; ++t) {
+        rob[t].reset(cap);
+        ready[t].reset(cap);
+        gen[t].assign(cap, 0);
+        for (size_t i = 0; i < cap / 2; ++i) { // move the head mid-ring
+            rob[t].pushBack();
+            rob[t].popFront();
+        }
+    }
+    while (!rob[threads - 1].full()) {
+        for (unsigned t = 0; t < threads; ++t) {
+            size_t p = rob[t].pushBack();
+            gen[t][p] = g++;
+            if (rng.below(4) == 0)
+                ready[t].set(p);
+        }
+    }
+    auto genOf = [&](unsigned t, size_t p) { return gen[t][p]; };
+    std::pair<unsigned, size_t> picked[5];
+    for (auto _ : state) {
+        RingBitScan scans[2];
+        for (unsigned t = 0; t < threads; ++t)
+            scans[t] = RingBitScan(ready[t], rob[t]);
+        unsigned n = 0;
+        for (; n < 5; ++n) {
+            int k = oldestScan(scans, threads, genOf);
+            if (k < 0)
+                break;
+            picked[n] = { static_cast<unsigned>(k), scans[k].current() };
+            ready[k].clear(scans[k].current());
+            scans[k].next();
+        }
+        for (unsigned i = 0; i < n; ++i)
+            ready[picked[i].first].set(picked[i].second);
+        benchmark::DoNotOptimize(picked);
+    }
+}
+BENCHMARK(BM_ReadySelect)->Arg(1)->Arg(2);
+
+/** Store-buffer chunk index in steady state: ~2 x 112 live chunk -> slot
+ *  entries; each iteration indexes a store (insert), probes a load's chunk
+ *  and retires the oldest store (erase). */
+void
+BM_ChunkIndexInsertProbeErase(benchmark::State& state)
+{
+    constexpr size_t kLive = 224;
+    FlatTable<Addr, int> index(kLive);
+    std::vector<Addr> fifo(kLive);
+    Rng rng(2);
+    auto chunk = [&rng] { return (0x10000 + rng.below(4096) * 8) >> 3; };
+    for (size_t i = 0; i < kLive; ++i) {
+        fifo[i] = chunk();
+        index.insert(fifo[i], static_cast<int>(i));
+    }
+    size_t head = 0;
+    int slot = kLive;
+    for (auto _ : state) {
+        int oldest = slot - static_cast<int>(kLive);
+        index.eraseIf(fifo[head], [oldest](int s) { return s == oldest; });
+        fifo[head] = chunk();
+        index.insert(fifo[head], slot++);
+        head = (head + 1) % kLive;
+        int hits = 0;
+        index.forEachMatch(chunk(), [&hits](int) { ++hits; });
+        benchmark::DoNotOptimize(hits);
+    }
+}
+BENCHMARK(BM_ChunkIndexInsertProbeErase);
+
+/** LB ring: push at rename, pop at retire, and one program-order binary
+ *  search (the disambiguation probe) per op, at 240 entries. */
+void
+BM_RingPushPop(benchmark::State& state)
+{
+    struct Entry
+    {
+        int slot;
+        uint64_t seq;
+    };
+    FixedRing<Entry> ring;
+    ring.reset(240);
+    uint64_t seq = 0;
+    while (ring.size() < 200) {
+        ring.push_back({ static_cast<int>(seq), seq });
+        ++seq;
+    }
+    for (auto _ : state) {
+        ring.push_back({ static_cast<int>(seq), seq });
+        ++seq;
+        ring.pop_front();
+        uint64_t probe = seq - 1 - (seq * 7) % 200;
+        benchmark::DoNotOptimize(ring.partitionPoint(
+            [probe](const Entry& e) { return e.seq <= probe; }));
+    }
+}
+BENCHMARK(BM_RingPushPop);
 
 } // namespace
 } // namespace constable

@@ -62,21 +62,24 @@ Amt::insert(Addr addr, PC load_pc, std::vector<PC>& evicted_out)
     ++inserts;
 }
 
-std::vector<PC>
-Amt::invalidate(Addr addr)
+void
+Amt::invalidate(Addr addr, std::vector<PC>& out)
 {
+    out.clear();
     Addr key = keyOf(addr);
     unsigned set = setOf(key);
     for (unsigned w = 0; w < cfg.ways; ++w) {
         Entry& e = entries[set * cfg.ways + w];
         if (e.valid && e.key == key) {
             ++invalidations;
-            std::vector<PC> pcs = std::move(e.pcs);
-            e = Entry{};
-            return pcs;
+            out.assign(e.pcs.begin(), e.pcs.end());
+            e.pcs.clear();
+            e.key = 0;
+            e.valid = false;
+            e.lru = 0;
+            return;
         }
     }
-    return {};
 }
 
 bool

@@ -44,9 +44,11 @@ class Amt
 
     /**
      * A store's address was generated, or a snoop arrived (§6.4.3-6.4.4):
-     * return all PCs monitoring the matching entry and evict it.
+     * evict the matching entry and put the PCs monitoring it in @p out,
+     * replacing its contents (empty on a miss). The entry's PC list and
+     * @p out keep their capacity.
      */
-    std::vector<PC> invalidate(Addr addr);
+    void invalidate(Addr addr, std::vector<PC>& out);
 
     /** Is this address currently monitored? */
     bool contains(Addr addr) const;

@@ -62,9 +62,9 @@ ConstableEngine::renameDstWrite(uint8_t dst_reg)
 {
     if (!cfg.enabled || dst_reg == kNoReg)
         return 0;
-    std::vector<PC> pcs = rmt.drainOnWrite(dst_reg);
-    resetPcs(pcs);
-    return static_cast<unsigned>(pcs.size());
+    rmt.drainOnWrite(dst_reg, drained_);
+    resetPcs(drained_);
+    return static_cast<unsigned>(drained_.size());
 }
 
 bool
@@ -78,16 +78,16 @@ ConstableEngine::writebackLoad(PC pc, Addr addr, uint64_t value,
     if (!armed)
         return false;
 
-    std::vector<PC> evicted;
+    evicted_.clear();
     for (uint8_t s : srcs) {
         if (s != kNoReg)
-            rmt.insert(s, pc, evicted);
+            rmt.insert(s, pc, evicted_);
     }
-    amt.insert(addr, pc, evicted);
-    resetPcs(evicted);
+    amt.insert(addr, pc, evicted_);
+    resetPcs(evicted_);
     // The armed load itself may have been a victim of its own inserts'
     // capacity evictions: honor the reset.
-    for (PC e : evicted) {
+    for (PC e : evicted_) {
         if (e == pc)
             return false;
     }
@@ -99,11 +99,11 @@ ConstableEngine::storeOrSnoopAddr(Addr addr)
 {
     if (!cfg.enabled)
         return;
-    std::vector<PC> pcs = amt.invalidate(addr);
-    if (pcs.empty())
+    amt.invalidate(addr, drained_);
+    if (drained_.empty())
         return;
     ++storeResets;
-    resetPcs(pcs);
+    resetPcs(drained_);
 }
 
 void
@@ -122,10 +122,10 @@ ConstableEngine::onL1Evict(Addr line)
         return;
     // Constable-AMT-I: without CV-bit pinning, a private-cache eviction
     // ends snoop visibility for the line, so tracking must be dropped.
-    std::vector<PC> pcs = amt.invalidate(line << kLineShift);
-    if (!pcs.empty()) {
+    amt.invalidate(line << kLineShift, drained_);
+    if (!drained_.empty()) {
         ++snoopResets;
-        resetPcs(pcs);
+        resetPcs(drained_);
     }
 }
 

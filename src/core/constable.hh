@@ -121,6 +121,11 @@ class ConstableEngine
     void resetPcs(const std::vector<PC>& pcs);
 
     ConstableConfig cfg;
+    /** Retained scratch buffers: PCs drained from the RMT/AMT, and PCs
+     *  evicted by a writeback's inserts. Reused so the per-op paths do
+     *  not allocate. */
+    std::vector<PC> drained_;
+    std::vector<PC> evicted_;
 };
 
 } // namespace constable

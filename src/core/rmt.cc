@@ -30,18 +30,18 @@ Rmt::insert(uint8_t reg, PC load_pc, std::vector<PC>& evicted_out)
     return true;
 }
 
-std::vector<PC>
-Rmt::drainOnWrite(uint8_t reg)
+void
+Rmt::drainOnWrite(uint8_t reg, std::vector<PC>& out)
 {
-    std::vector<PC> drained;
+    out.clear();
     if (reg >= kMaxArchRegs)
-        return drained;
+        return;
     auto& list = lists[reg];
     if (!list.empty()) {
-        drained.swap(list);
+        out.assign(list.begin(), list.end());
+        list.clear();
         ++drains;
     }
-    return drained;
 }
 
 void

@@ -40,10 +40,12 @@ class Rmt
     bool insert(uint8_t reg, PC load_pc, std::vector<PC>& evicted_out);
 
     /**
-     * A renamed instruction writes @p reg: drain and return every load PC
-     * monitoring that register (the caller resets them in the SLD).
+     * A renamed instruction writes @p reg: drain every load PC monitoring
+     * that register into @p out, replacing its contents (the caller resets
+     * them in the SLD). Both the list and @p out keep their capacity, so
+     * steady-state draining does not allocate.
      */
-    std::vector<PC> drainOnWrite(uint8_t reg);
+    void drainOnWrite(uint8_t reg, std::vector<PC>& out);
 
     /** Remove a specific PC everywhere (entry re-learned after a reset). */
     void removePc(PC load_pc);

@@ -8,7 +8,6 @@
 #include "cpu/core.hh"
 
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -19,38 +18,49 @@ OooCore::OooCore(const CoreConfig& core_cfg, const MechanismConfig& mech_cfg,
                  const std::unordered_set<PC>* global_stable)
     : CoreState(core_cfg, mech_cfg)
 {
-    globalStable = global_stable;
+    if (global_stable) {
+        globalStable.reserve(global_stable->size());
+        // Membership only: the set's order never matters. lint:ordered
+        for (PC pc : *global_stable)
+            globalStable.insertUnique(pc);
+    }
     if (traces.empty() || traces.size() > 2)
         fatal("OooCore: need 1 or 2 traces");
     if (traces.size() == 2 && !cfg.smt2)
         fatal("OooCore: two traces require smt2");
 
+    // Each thread owns robPerThread() consecutive slots. Its ROB, LB, SB,
+    // ready bitmaps and store chunk index are sized once here and never
+    // grow.
+    const unsigned robSize = cfg.robPerThread();
+    if (robSize > RingBitmap::kMaxBits)
+        fatal("OooCore: robPerThread() exceeds the ready bitmap's " +
+              std::to_string(RingBitmap::kMaxBits) + " entries");
+    slots.resize(static_cast<size_t>(robSize) * traces.size());
     threads.resize(traces.size());
     for (size_t i = 0; i < traces.size(); ++i) {
-        threads[i].trace = traces[i];
-        threads[i].renameMap.fill(SlotRef{});
-        threads[i].recentOps.reserve(32);
+        ThreadCtx& t = threads[i];
+        t.trace = traces[i];
+        t.slotBase = static_cast<int>(i * robSize);
+        t.rob.reset(robSize);
+        t.loadList.reset(cfg.lbPerThread());
+        t.storeList.reset(cfg.sbPerThread());
+        t.storeAddrIndex.reserve(2 * size_t{ cfg.sbPerThread() });
+        for (RingBitmap& r : t.ready)
+            r.reset(robSize);
+        t.renameMap.fill(SlotRef{});
+        t.recentOps.reserve(32);
     }
-
-    size_t totalSlots = static_cast<size_t>(cfg.robPerThread()) *
-                            traces.size() + 8;
-    slots.resize(totalSlots);
-    freeSlots.reserve(totalSlots);
-    for (size_t i = 0; i < totalSlots; ++i)
-        freeSlots.push_back(static_cast<int>(totalSlots - 1 - i));
     blockedLoads.reserve(64);
-    for (ReadyQueue& q : readyQ)
-        q.heap.reserve(64);
 
-    // Warm L2/LLC with the trace footprint (memory-state snapshot).
-    // Repeated warmLine() calls on a present line are no-ops, so dedupe
-    // up front: one hash probe replaces three set-associative way scans
-    // for every revisited line of the footprint.
-    std::unordered_set<Addr> warmed;
-    warmed.reserve(1024);
+    // Warm L2/LLC with the trace footprint (memory-state snapshot), in
+    // first-touch order. Repeated warmLine() calls on a present line are
+    // no-ops, so dedupe up front: one hash probe replaces three
+    // set-associative way scans for every revisited line of the footprint.
+    FlatSet<Addr> warmed(1024);
     for (const ThreadCtx& t : threads) {
         for (const MicroOp& op : t.trace->ops) {
-            if (op.isMem() && warmed.insert(lineAddr(op.effAddr)).second)
+            if (op.isMem() && warmed.insertUnique(lineAddr(op.effAddr)))
                 memory.warmLine(lineAddr(op.effAddr));
         }
     }
@@ -114,14 +124,14 @@ OooCore::exportFinalStats(RunResult& r)
         s.set("sld.updates.hist." + std::to_string(b),
               sldUpdateHist.bucketFrac(b));
     }
-    // StatSet keys on a std::map, so insertion order of these per-PC
-    // counters never reaches serialized bytes or reports. lint:ordered
-    for (const auto& [pc, n] : vpWrongByPc) {
+    // StatSet keys on a std::map, so the table's order of these per-PC
+    // counters never reaches serialized bytes or reports.
+    vpWrongByPc.forEach([&s](PC pc, uint64_t n) {
         char buf[48];
         std::snprintf(buf, sizeof(buf), "debug.vpwrong.%llx",
                       (unsigned long long)pc);
         s.set(buf, static_cast<double>(n));
-    }
+    });
     s.set("directory.pins", static_cast<double>(directory.pinCount));
     s.set("directory.snoops",
           static_cast<double>(directory.snoopsDelivered));

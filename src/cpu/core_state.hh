@@ -1,11 +1,18 @@
 /**
  * @file
  * The narrow shared state of the out-of-order core: in-flight op slots,
- * per-thread contexts, ready queues, the event wheel, and every statistic
- * counter. The pipeline-stage translation units (cpu/rename.cc,
+ * per-thread contexts, per-port ready bitmaps, the event wheel, and every
+ * statistic counter. The pipeline-stage translation units (cpu/rename.cc,
  * cpu/schedule.cc, cpu/mem_pipe.cc, cpu/retire.cc) and the pluggable
  * load-elimination mechanisms (cpu/mechanism.hh) all operate on this one
  * struct; none of them sees the others' code.
+ *
+ * The in-flight window is program-ordered and flat. Each thread owns a
+ * partition of robPerThread() slots that its ROB allocates in ring order,
+ * so within a thread slot ring order is age order, and a slot's ROB
+ * position is O(1) arithmetic. The LB/SB lists are fixed-capacity rings
+ * whose entries carry their seq, so the seq binary searches never touch the
+ * slot array. Squash truncates every ring's tail.
  */
 
 #ifndef CONSTABLE_CPU_CORE_STATE_HH
@@ -14,12 +21,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <deque>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hh"
+#include "common/flat.hh"
 #include "common/small_vec.hh"
 #include "common/stats.hh"
 #include "cpu/config.hh"
@@ -105,7 +111,6 @@ struct InFlightState
     uint8_t dstReg = kNoReg;
     SlotRef prevWriter;             ///< rename-map checkpoint for squash
     SlotRef blockingStore;          ///< MDP wait target
-    Cycle readyAt = 0;
 };
 static_assert(std::is_trivially_copyable_v<InFlightState>,
               "slot recycling relies on aggregate reset");
@@ -117,38 +122,55 @@ struct InFlight : InFlightState
     SmallVec<SlotRef, 4> consumers;
 };
 
+/** An LB/SB entry: the op's slot plus its seq, so the program-order
+ *  binary searches over the lists read only the list. */
+struct LsqEntry
+{
+    int slot = -1;
+    SeqNum seq = 0;
+};
+
+/** Issue-port classes (PortType values). */
+inline constexpr unsigned kNumPorts = 4;
+
 struct ThreadCtx
 {
     const Trace* trace = nullptr;
     size_t traceIdx = 0;
     size_t snoopIdx = 0;
     SeqNum nextSeq = 0;
-    std::deque<int> rob;            ///< slot ids in program order
-    std::deque<int> storeList;      ///< in-flight stores, program order
-    std::deque<int> loadList;       ///< in-flight loads, program order
-                                    ///< (disambiguation scans loads
-                                    ///< only, not the whole ROB)
+    /** First slot of this thread's partition; ROB position i occupies
+     *  slot slotBase + rob.phys(i). */
+    int slotBase = 0;
+    RingIndex rob;                  ///< program order over the partition
+    FixedRing<LsqEntry> storeList;  ///< in-flight stores (the SB)
+    FixedRing<LsqEntry> loadList;   ///< in-flight loads (the LB):
+                                    ///< disambiguation scans loads
+                                    ///< only, not the whole ROB
     /** In-flight stores whose address is still unresolved, in program
      *  order: the load-AGU memory-dependence check walks only these (the
      *  handful of recently issued stores) instead of the whole SB. */
     std::vector<int> unresolvedStores;
     /**
-     * Resolved in-flight stores indexed by the 8-byte-aligned chunks their
-     * byte range covers (a store of size <= 8 spans at most two chunks).
-     * Two byte ranges that overlap share a byte and therefore a chunk, so
-     * probing the load's chunks finds every forwarding candidate without
-     * scanning the store buffer. Maintained incrementally: insert at STA,
-     * erase at store retire and on squash.
+     * Resolved in-flight stores (chunk -> slot, one entry per chunk)
+     * indexed by the 8-byte-aligned chunks their byte range covers (a
+     * store of size <= 8 spans at most two chunks), so it never holds more
+     * than 2 x SB entries. Two byte ranges that overlap share a byte and
+     * therefore a chunk, so probing the load's chunks finds every
+     * forwarding candidate without scanning the store buffer. Maintained
+     * incrementally: insert at STA, erase at store retire and on squash.
      */
-    std::unordered_map<Addr, SmallVec<int, 2>> storeAddrIndex;
+    FlatTable<Addr, int> storeAddrIndex;
+    /** Ready (state Ready, not yet issued) ops per issue port, one bit per
+     *  ROB ring position: a ring-order scan from the ROB head visits them
+     *  oldest first. */
+    std::array<RingBitmap, kNumPorts> ready;
     std::array<SlotRef, kMaxArchRegs> renameMap;
-    unsigned lbUsed = 0;
-    unsigned sbUsed = 0;
     Cycle frontendBlockedUntil = 0;
     SlotRef pendingBranch;          ///< unresolved mispredicted branch
     std::vector<MicroOp> recentOps; ///< wrong-path template ring
     size_t recentIdx = 0;
-    std::unordered_map<PC, SlotRef> lastStoreByPc; ///< MRN producer lookup
+    FlatTable<PC, SlotRef> lastStoreByPc; ///< MRN producer lookup
     uint64_t retired = 0;
     Cycle finishCycle = 0;
     bool done = false;
@@ -164,26 +186,20 @@ struct ThreadCtx
     {
         return std::min(renameLimit, trace->ops.size());
     }
-};
 
-/**
- * Per-port ready queue: a binary min-heap over allocation generation
- * (gens are unique and monotonically increasing, so min-gen order is
- * exactly the (tid, seq) age order the old red-black tree gave).
- * Squash does not search the heap; it just drops the live count and
- * leaves a stale entry behind that popReady() discards when it surfaces
- * (lazy invalidation). push/pop are allocation-free once the backing
- * vector has warmed.
- */
-struct ReadyEntry
-{
-    uint64_t gen;
-    int slot;
-};
-struct ReadyQueue
-{
-    std::vector<ReadyEntry> heap;
-    size_t live = 0;        ///< non-stale entries (idle-skip gate)
+    /** Slot at ROB position @p i (0 = oldest). */
+    int
+    robSlot(size_t i) const
+    {
+        return slotBase + static_cast<int>(rob.phys(i));
+    }
+
+    /** ROB position of an in-flight slot of this thread. */
+    size_t
+    robPos(int slot) const
+    {
+        return rob.logical(static_cast<size_t>(slot - slotBase));
+    }
 };
 
 struct Event
@@ -203,7 +219,8 @@ struct CoreState
 
     CoreConfig cfg;
     std::vector<ThreadCtx> threads;
-    const std::unordered_set<PC>* globalStable = nullptr;
+    /** Offline-identified global-stable load PCs (statistics only). */
+    FlatSet<PC> globalStable;
 
     MemHierarchy memory;
     Directory directory;
@@ -212,14 +229,19 @@ struct CoreState
     /** The active load-elimination mechanisms (Constable, EVES, ...). */
     MechanismSet mechs;
 
+    /** Every thread's slot partition, back to back. */
     std::vector<InFlight> slots;
-    std::vector<int> freeSlots;
+    /** A slot's reset image. allocSlot() copies it from memory: GCC lowers
+     *  an in-place InFlightState{} to `rep stos`, whose start-up latency
+     *  was the largest single cost of slot allocation. */
+    const InFlightState freshSlot {};
     uint64_t genCounter = 1;
 
     unsigned rsUsed = 0;
     Cycle now = 0;
 
-    ReadyQueue readyQ[4];
+    /** Ready ops per port over all threads (the idle-skip gate). */
+    std::array<unsigned, kNumPorts> readyCount {};
     /** Ready (state Ready, not yet issued) loads whose PC is NOT in the
      *  global-stable set: makes the Fig 6b "is a non-GS load waiting?"
      *  check O(1) instead of a queue scan per GS-load-issue cycle. */
@@ -279,7 +301,7 @@ struct CoreState
      *  into a RunResult or StatSet (the stall counters above already
      *  account these cycles for the simulated stats). */
     uint64_t idleFastForwardedCycles = 0;
-    std::unordered_map<PC, uint64_t> vpWrongByPc;
+    FlatTable<PC, uint64_t> vpWrongByPc;
     bool goldenFailed = false;
     std::string goldenMsg;
 
@@ -295,29 +317,21 @@ struct CoreState
                                                          r.gen;
     }
 
+    /** Allocate the youngest ROB position of @p t and reset its slot
+     *  (the caller checked the ROB has room). */
     int
-    allocSlot()
+    allocSlot(ThreadCtx& t)
     {
-        if (freeSlots.empty())
-            return -1;
-        int s = freeSlots.back();
-        freeSlots.pop_back();
+        int s = t.slotBase + static_cast<int>(t.rob.pushBack());
         InFlight& e = slots[s];
-        // Aggregate reset of the trivially-copyable part; the consumer list
-        // keeps its (already empty, see wakeConsumers/freeSlot) spill
-        // storage.
-        static_cast<InFlightState&>(e) = InFlightState{};
+        CONSTABLE_ASSERT(!e.valid, "ROB ring allocated a live slot");
+        // Aggregate reset of the trivially-copyable part; clearing the
+        // consumer list keeps its spill storage.
+        static_cast<InFlightState&>(e) = freshSlot;
         e.consumers.clear();
         e.gen = genCounter++;
         e.valid = true;
         return s;
-    }
-
-    void
-    freeSlot(int slot)
-    {
-        slots[slot].valid = false;
-        freeSlots.push_back(slot);
     }
 
     void
@@ -387,73 +401,32 @@ struct CoreState
     {
         InFlight& e = at(slot);
         e.state = OpState::Ready;
-        e.readyAt = now + 1;
         unsigned port = static_cast<unsigned>(portOf(e));
-        ReadyQueue& q = readyQ[port];
-        q.heap.push_back(ReadyEntry{ e.gen, slot });
-        std::push_heap(q.heap.begin(), q.heap.end(),
-                       [](const ReadyEntry& a, const ReadyEntry& b) {
-                           return a.gen > b.gen;
-                       });
-        ++q.live;
-        CONSTABLE_ASSERT(q.live <= q.heap.size(),
-                         "ready-queue live count exceeds heap size: a "
-                         "removeReady was missed or double-counted");
+        ThreadCtx& t = threads[e.tid];
+        CONSTABLE_ASSERT(!t.ready[port].test(slot - t.slotBase),
+                         "op made ready twice");
+        t.ready[port].set(slot - t.slotBase);
+        ++readyCount[port];
         if (port == static_cast<unsigned>(PortType::Load) && !e.isGsLoad)
             ++readyNonGsLoads;
     }
 
+    /** Take a Ready op off its port (issue or squash). */
     void
     removeReady(int slot)
     {
-        // Lazy invalidation: only the live count drops; the heap entry
-        // stays behind and popReady() discards it by generation mismatch
-        // (the slot is freed or re-allocated under a strictly larger gen).
         InFlight& e = at(slot);
         unsigned port = static_cast<unsigned>(portOf(e));
-        CONSTABLE_ASSERT(readyQ[port].live > 0,
-                         "removeReady on a port with no live entries");
-        --readyQ[port].live;
+        ThreadCtx& t = threads[e.tid];
+        CONSTABLE_ASSERT(t.ready[port].test(slot - t.slotBase),
+                         "removeReady on an op whose ready bit is clear");
+        t.ready[port].clear(slot - t.slotBase);
+        --readyCount[port];
         if (port == static_cast<unsigned>(PortType::Load) && !e.isGsLoad) {
             CONSTABLE_ASSERT(readyNonGsLoads > 0,
                              "non-GS ready-load counter underflow");
             --readyNonGsLoads;
         }
-    }
-
-    /** Pop the oldest live ready op on a port, discarding stale heap
-     *  entries on the way; -1 when nothing live remains. */
-    int
-    popReady(unsigned port)
-    {
-        ReadyQueue& q = readyQ[port];
-        auto older = [](const ReadyEntry& a, const ReadyEntry& b) {
-            return a.gen > b.gen;
-        };
-        // O(heap) probe, so DCHECK: min-heap order over gen is what makes
-        // pop order == age order (the determinism contract of issue).
-        CONSTABLE_DCHECK(std::is_heap(q.heap.begin(), q.heap.end(), older),
-                         "ready-queue heap property violated");
-        while (!q.heap.empty()) {
-            ReadyEntry top = q.heap.front();
-            std::pop_heap(q.heap.begin(), q.heap.end(), older);
-            q.heap.pop_back();
-            InFlight& e = slots[top.slot];
-            if (e.valid && e.gen == top.gen && e.state == OpState::Ready) {
-                CONSTABLE_ASSERT(q.live > 0,
-                                 "live ready entry found on a port whose "
-                                 "live count is zero");
-                --q.live;
-                if (port == static_cast<unsigned>(PortType::Load) &&
-                    !e.isGsLoad)
-                    --readyNonGsLoads;
-                return top.slot;
-            }
-        }
-        CONSTABLE_ASSERT(q.live == 0,
-                         "ready-queue drained but live count is nonzero: "
-                         "a live entry was lost to a stale generation");
-        return -1;
     }
 
     bool

@@ -1,7 +1,5 @@
 #include "cpu/mechanism.hh"
 
-#include <algorithm>
-
 #include "cpu/core_state.hh"
 
 namespace constable {
@@ -129,12 +127,11 @@ ConstableMech::loadWriteback(CoreState& cs, ThreadCtx& t, InFlight& e)
     // younger matching stores and suppress the arm (unresolved ones are
     // caught later by the normal AMT probe at their STA).
     bool armBlocked = false;
-    auto sit = std::upper_bound(t.storeList.begin(), t.storeList.end(),
-                                e.seq, [&cs](SeqNum seq, int sid) {
-                                    return seq < cs.at(sid).seq;
-                                });
-    for (; sit != t.storeList.end(); ++sit) {
-        InFlight& st2 = cs.at(*sit);
+    for (size_t i = t.storeList.partitionPoint([&e](const LsqEntry& st) {
+             return st.seq <= e.seq;
+         });
+         i < t.storeList.size(); ++i) {
+        const InFlight& st2 = cs.at(t.storeList[i].slot);
         if (st2.storeAddrResolved &&
             lineAddr(st2.op.effAddr) == lineAddr(e.op.effAddr)) {
             armBlocked = true;
@@ -236,10 +233,10 @@ MrnMech::renameLoad(CoreState& cs, ThreadCtx& t, InFlight& e, int slot,
     MrnPrediction p = mrn.predict(e.op.pc);
     if (!p.valid)
         return;
-    auto it = t.lastStoreByPc.find(p.storePc);
-    if (it == t.lastStoreByPc.end() || !cs.refValid(it->second))
+    const SlotRef* producer = t.lastStoreByPc.find(p.storePc);
+    if (!producer || !cs.refValid(*producer))
         return;
-    const InFlight& st = cs.at(it->second.slot);
+    const InFlight& st = cs.at(producer->slot);
     e.vpApplied = true;
     e.valueAvailable = true;
     e.mrnForwarded = true;

@@ -8,8 +8,6 @@
 
 #include "cpu/core.hh"
 
-#include <algorithm>
-
 namespace constable {
 
 namespace {
@@ -28,20 +26,6 @@ chunkHi(Addr addr, unsigned size)
     return (addr + size - 1) >> 3;
 }
 
-/** Remove one slot from a chunk bucket (order-free swap erase; queries
- *  take a seq maximum, so bucket order never matters). */
-inline void
-bucketErase(SmallVec<int, 2>& bucket, int slot)
-{
-    for (size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i] == slot) {
-            bucket[i] = bucket[bucket.size() - 1];
-            bucket.pop_back();
-            return;
-        }
-    }
-}
-
 } // namespace
 
 /** Index a store whose address just resolved (STA). */
@@ -51,22 +35,19 @@ OooCore::storeIndexInsert(ThreadCtx& t, int slot)
     const InFlight& st = at(slot);
     for (Addr c = chunkLo(st.op.effAddr);
          c <= chunkHi(st.op.effAddr, st.op.size); ++c)
-        t.storeAddrIndex[c].push_back(slot);
+        t.storeAddrIndex.insert(c, slot);
 }
 
-/** Un-index a resolved store leaving the window (retire or squash).
- *  Emptied buckets stay in the map: store footprints revisit the same
- *  chunks constantly, so keeping the node (and the SmallVec's inline
- *  storage) makes steady-state index maintenance allocation-free. */
+/** Un-index a resolved store leaving the window (retire or squash). */
 void
 OooCore::storeIndexErase(ThreadCtx& t, int slot)
 {
     const InFlight& st = at(slot);
     for (Addr c = chunkLo(st.op.effAddr);
          c <= chunkHi(st.op.effAddr, st.op.size); ++c) {
-        auto it = t.storeAddrIndex.find(c);
-        if (it != t.storeAddrIndex.end())
-            bucketErase(it->second, slot);
+        bool erased =
+            t.storeAddrIndex.eraseIf(c, [slot](int s) { return s == slot; });
+        CONSTABLE_ASSERT(erased, "resolved store missing from the index");
     }
 }
 
@@ -98,26 +79,22 @@ OooCore::onLoadAgu(int slot)
     }
     // Store-to-load forwarding candidate: the youngest older resolved
     // store overlapping the load's bytes, found through the chunk index
-    // (overlapping ranges always share a chunk).
+    // (overlapping ranges always share a chunk; a seq maximum makes the
+    // probe order irrelevant).
     int fwdStore = -1;
     SeqNum fwdSeq = 0;
     for (Addr c = chunkLo(e.lbAddr); c <= chunkHi(e.lbAddr, e.op.size);
          ++c) {
-        auto it = t.storeAddrIndex.find(c);
-        if (it == t.storeAddrIndex.end())
-            continue;
-        const SmallVec<int, 2>& bucket = it->second;
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            const InFlight& st = at(bucket[i]);
-            if (st.seq >= e.seq)
-                continue;
-            if (!overlaps(st.op.effAddr, st.op.size, e.lbAddr, e.op.size))
-                continue;
+        t.storeAddrIndex.forEachMatch(c, [&](int sid) {
+            const InFlight& st = at(sid);
+            if (st.seq >= e.seq ||
+                !overlaps(st.op.effAddr, st.op.size, e.lbAddr, e.op.size))
+                return;
             if (fwdStore < 0 || st.seq > fwdSeq) {
-                fwdStore = bucket[i];
+                fwdStore = sid;
                 fwdSeq = st.seq;
             }
-        }
+        });
     }
     if (blocking >= 0) {
         e.state = OpState::Blocked;
@@ -171,20 +148,22 @@ OooCore::onStaDone(int slot)
     // overlapping address violated ordering -> flush from that load. Only
     // loads can match, and loadList is program-ordered, so binary-search to
     // the first load younger than the store instead of walking the ROB.
-    CONSTABLE_DCHECK(std::is_sorted(t.loadList.begin(), t.loadList.end(),
-                                    [this](int a, int b) {
-                                        return at(a).seq < at(b).seq;
-                                    }),
-                     "loadList not in program order at disambiguation: "
-                     "binary search would miss violating loads");
-    auto seqOf = [this](int sid, SeqNum seq) { return at(sid).seq < seq; };
-    auto it = std::upper_bound(t.loadList.begin(), t.loadList.end(), st.seq,
-                               [this](SeqNum seq, int sid) {
-                                   return seq < at(sid).seq;
-                               });
+    CONSTABLE_DCHECK(
+        [&] {
+            for (size_t i = 1; i < t.loadList.size(); ++i)
+                if (t.loadList[i - 1].seq >= t.loadList[i].seq)
+                    return false;
+            return true;
+        }(),
+        "loadList not in program order at disambiguation: binary search "
+        "would miss violating loads");
     int violSlot = -1;
-    for (; it != t.loadList.end(); ++it) {
-        InFlight& ld = at(*it);
+    for (size_t i = t.loadList.partitionPoint([&](const LsqEntry& l) {
+             return l.seq <= st.seq;
+         });
+         i < t.loadList.size(); ++i) {
+        int sid = t.loadList[i].slot;
+        InFlight& ld = at(sid);
         if (!ld.lbAddrValid || !ld.loadValueDelivered)
             continue;
         // Oracle eliminations are correct by construction (global-stable
@@ -193,7 +172,7 @@ OooCore::onStaDone(int slot)
         if (ld.idealEliminated)
             continue;
         if (overlaps(st.op.effAddr, st.op.size, ld.lbAddr, ld.op.size)) {
-            violSlot = *it;
+            violSlot = sid;
             ++orderingViolations;
             if (ld.eliminated) {
                 ++elimOrderingViolations;
@@ -203,13 +182,8 @@ OooCore::onStaDone(int slot)
             break;
         }
     }
-    if (violSlot >= 0) {
-        // The ROB is program-ordered too: recover the flush position by seq.
-        auto rit = std::lower_bound(t.rob.begin(), t.rob.end(),
-                                    at(violSlot).seq, seqOf);
-        squashFrom(t, static_cast<size_t>(rit - t.rob.begin()),
-                   cfg.branchMispredictPenalty);
-    }
+    if (violSlot >= 0)
+        squashFrom(t, t.robPos(violSlot), cfg.branchMispredictPenalty);
 
     completeOp(slot);
 }
@@ -249,12 +223,7 @@ OooCore::completeOp(int slot)
             ++vpFlushes;
             mechs.onValueMispredict(e);
             // Squash everything younger than the mispredicted load.
-            for (size_t i = 0; i < t.rob.size(); ++i) {
-                if (t.rob[i] == slot) {
-                    squashFrom(t, i + 1, cfg.valueMispredictPenalty);
-                    break;
-                }
-            }
+            squashFrom(t, t.robPos(slot) + 1, cfg.valueMispredictPenalty);
             e.vpWrong = false;
         }
     }
@@ -300,11 +269,21 @@ OooCore::squashFrom(ThreadCtx& t, size_t rob_pos, Cycle restart_delay)
 {
     if (rob_pos >= t.rob.size())
         return;
-    size_t firstTraceIdx = at(t.rob[rob_pos]).traceIdx;
-    SeqNum firstSeq = at(t.rob[rob_pos]).seq;
+    const InFlight& first = at(t.robSlot(rob_pos));
+    size_t firstTraceIdx = first.traceIdx;
+    SeqNum firstSeq = first.seq;
+
+    // Every list is program-ordered, so the squashed ops are each list's
+    // tail: truncate them all at the first squashed seq.
+    auto older = [firstSeq](const LsqEntry& x) { return x.seq < firstSeq; };
+    t.loadList.truncate(t.loadList.partitionPoint(older));
+    t.storeList.truncate(t.storeList.partitionPoint(older));
+    while (!t.unresolvedStores.empty() &&
+           at(t.unresolvedStores.back()).seq >= firstSeq)
+        t.unresolvedStores.pop_back();
 
     for (size_t i = t.rob.size(); i-- > rob_pos;) {
-        int s = t.rob[i];
+        int s = t.robSlot(i);
         InFlight& e = at(s);
         if (e.dstReg != kNoReg)
             t.renameMap[e.dstReg] = e.prevWriter;
@@ -312,36 +291,12 @@ OooCore::squashFrom(ThreadCtx& t, size_t rob_pos, Cycle restart_delay)
             --rsUsed;
         if (e.state == OpState::Ready)
             removeReady(s);
-        if (e.op.isLoad())
-            --t.lbUsed;
-        if (e.op.isStore()) {
-            --t.sbUsed;
-            if (e.storeAddrResolved)
-                storeIndexErase(t, s);
-        }
+        if (e.op.isStore() && e.storeAddrResolved)
+            storeIndexErase(t, s);
         mechs.squashOp(e);
-        freeSlot(s);
+        e.valid = false;
     }
-    t.rob.resize(rob_pos);
-
-    // Rebuild the store/load lists from surviving entries.
-    t.storeList.clear();
-    t.loadList.clear();
-    t.unresolvedStores.clear();
-    for (int s : t.rob) {
-        if (at(s).op.isStore()) {
-            t.storeList.push_back(s);
-            if (!at(s).storeAddrResolved)
-                t.unresolvedStores.push_back(s);
-        } else if (at(s).op.isLoad()) {
-            t.loadList.push_back(s);
-        }
-    }
-
-    CONSTABLE_DCHECK(t.loadList.size() <= t.lbUsed &&
-                         t.storeList.size() <= t.sbUsed,
-                     "squash rebuild left more list entries than allocated "
-                     "LB/SB slots");
+    t.rob.truncate(rob_pos);
 
     if (refValid(t.pendingBranch) && at(t.pendingBranch.slot).seq >= firstSeq)
         t.pendingBranch = SlotRef{};

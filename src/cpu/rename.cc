@@ -53,7 +53,7 @@ OooCore::renameOne(ThreadCtx& t, unsigned& loads_this_cycle,
     const MicroOp& op = t.trace->ops[t.traceIdx];
 
     // Structural resource checks (allocate stage).
-    if (t.rob.size() >= cfg.robPerThread()) {
+    if (t.rob.full()) {
         ++stallRobFull;
         return false;
     }
@@ -65,11 +65,11 @@ OooCore::renameOne(ThreadCtx& t, unsigned& loads_this_cycle,
         ++stallRsFull;
         return false;
     }
-    if (op.isLoad() && t.lbUsed >= cfg.lbPerThread()) {
+    if (op.isLoad() && t.loadList.full()) {
         ++stallLbFull;
         return false;
     }
-    if (op.isStore() && t.sbUsed >= cfg.sbPerThread()) {
+    if (op.isStore() && t.storeList.full()) {
         ++stallSbFull;
         return false;
     }
@@ -81,9 +81,7 @@ OooCore::renameOne(ThreadCtx& t, unsigned& loads_this_cycle,
         return false;
     }
 
-    int s = allocSlot();
-    if (s < 0)
-        return false;
+    int s = allocSlot(t);
     InFlight& e = at(s);
     e.op = op;
     e.traceIdx = t.traceIdx;
@@ -107,7 +105,7 @@ OooCore::renameOne(ThreadCtx& t, unsigned& loads_this_cycle,
 
     if (op.isLoad()) {
         ++loads_this_cycle;
-        e.isGsLoad = globalStable && globalStable->count(op.pc);
+        e.isGsLoad = globalStable.contains(op.pc);
         // Mechanism rename hooks: oracle elimination, Constable steps 1-3,
         // EVES / MRN / RFP value speculation, ELAR address pre-resolution.
         mechs.renameLoad(*this, t, e, s);
@@ -170,27 +168,23 @@ OooCore::renameOne(ThreadCtx& t, unsigned& loads_this_cycle,
         ++rsAllocs;
     }
     if (op.isLoad()) {
-        ++t.lbUsed;
         // mem_pipe.cc's onStaDone binary-searches loadList by seq, so
         // rename (the only producer) must append in program order.
-        CONSTABLE_DCHECK(t.loadList.empty() ||
-                             at(t.loadList.back()).seq < e.seq,
+        CONSTABLE_ASSERT(t.loadList.empty() || t.loadList.back().seq < e.seq,
                          "loadList append out of program order");
-        t.loadList.push_back(s);
+        t.loadList.push_back(LsqEntry{ s, e.seq });
     }
     if (op.isStore()) {
-        ++t.sbUsed;
-        CONSTABLE_DCHECK(t.storeList.empty() ||
-                             at(t.storeList.back()).seq < e.seq,
+        CONSTABLE_ASSERT(t.storeList.empty() ||
+                             t.storeList.back().seq < e.seq,
                          "storeList append out of program order");
-        CONSTABLE_DCHECK(t.unresolvedStores.empty() ||
+        CONSTABLE_ASSERT(t.unresolvedStores.empty() ||
                              at(t.unresolvedStores.back()).seq < e.seq,
                          "unresolvedStores append out of program order");
-        t.storeList.push_back(s);
+        t.storeList.push_back(LsqEntry{ s, e.seq });
         t.unresolvedStores.push_back(s);
         t.lastStoreByPc[op.pc] = SlotRef{ s, e.gen };
     }
-    t.rob.push_back(s);
 
     // Wrong-path template ring.
     if (t.recentOps.size() < 32)

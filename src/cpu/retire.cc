@@ -60,7 +60,7 @@ OooCore::retireStage()
         ThreadCtx& t =
             threads[(round + static_cast<size_t>(now)) % threads.size()];
         while (budget > 0 && !t.rob.empty()) {
-            int s = t.rob.front();
+            int s = t.robSlot(0);
             InFlight& e = at(s);
             if (e.state != OpState::Done)
                 break;
@@ -86,16 +86,16 @@ OooCore::retireStage()
                 } else if (e.vpApplied) {
                     ++loadsVpRetired;
                 }
-                --t.lbUsed;
-                if (!t.loadList.empty() && t.loadList.front() == s)
-                    t.loadList.pop_front();
+                CONSTABLE_ASSERT(t.loadList.front().slot == s,
+                                 "retiring load is not the LB head");
+                t.loadList.pop_front();
             }
             if (e.op.isStore()) {
                 // Senior-store drain into the L1D.
                 memory.store(e.op.pc, e.op.effAddr);
-                --t.sbUsed;
-                if (!t.storeList.empty() && t.storeList.front() == s)
-                    t.storeList.pop_front();
+                CONSTABLE_ASSERT(t.storeList.front().slot == s,
+                                 "retiring store is not the SB head");
+                t.storeList.pop_front();
                 storeIndexErase(t, s);
             }
             if (e.eliminated && e.xprfHeld) {
@@ -105,8 +105,8 @@ OooCore::retireStage()
             if (e.op.isBranch())
                 mechs.retireBranch(e.op.taken);
 
-            t.rob.pop_front();
-            freeSlot(s);
+            t.rob.popFront();
+            e.valid = false;
             ++t.retired;
             --budget;
 

@@ -14,16 +14,19 @@ namespace constable {
 void
 OooCore::issueStage()
 {
-    unsigned capacity[4] = { cfg.aluPorts, cfg.loadPorts, cfg.staPorts,
-                             cfg.aluPorts };
+    unsigned capacity[kNumPorts] = { cfg.aluPorts, cfg.loadPorts,
+                                     cfg.staPorts, cfg.aluPorts };
+    auto genOf = [this](unsigned tid, size_t pos) {
+        return slots[static_cast<size_t>(threads[tid].slotBase) + pos].gen;
+    };
 
     // Replenish load-issue tokens (burst cap: one cycle's worth extra).
     loadTokens = std::min(loadTokens + cfg.loadPorts, 2 * cfg.loadPorts);
 
     // Branches first (they share ALU ports): fast branch resolution.
-    static const unsigned order[4] = { 3, 0, 1, 2 };
+    static const unsigned order[kNumPorts] = { 3, 0, 1, 2 };
     unsigned branchIssued = 0;
-    for (unsigned oi = 0; oi < 4; ++oi) {
+    for (unsigned oi = 0; oi < kNumPorts; ++oi) {
         unsigned ty = order[oi];
         unsigned used = 0;
         unsigned cap = capacity[ty];
@@ -31,13 +34,28 @@ OooCore::issueStage()
             cap = cap > branchIssued ? cap - branchIssued : 0;
         bool isLoadPort = ty == static_cast<unsigned>(PortType::Load);
         bool gsIssued = false;
+        // Oldest first: one ring-order scan per thread from its ROB head,
+        // merged by allocation generation (within a thread ring order is
+        // gen order, because squash truncates the ring's tail). Issuing
+        // never readies another op, so one pass per port suffices.
+        RingBitScan scans[2];
+        unsigned nScans = 0;
+        if (readyCount[ty] > 0)
+            for (const ThreadCtx& t : threads)
+                scans[nScans++] = RingBitScan(t.ready[ty], t.rob);
         while (used < cap) {
             if (isLoadPort && loadTokens < cfg.loadPortOccupancy)
                 break;
-            int s = popReady(ty);
-            if (s < 0)
+            int k = oldestScan(scans, nScans, genOf);
+            if (k < 0)
                 break;
+            int s = threads[k].slotBase +
+                    static_cast<int>(scans[k].current());
             InFlight& e = at(s);
+            CONSTABLE_ASSERT(e.valid && e.state == OpState::Ready,
+                             "ready bit set for an op that is not Ready");
+            removeReady(s);
+            scans[k].next();
             e.state = OpState::Issued;
             ++issueEvents;
             if (e.inRs) {
@@ -131,11 +149,11 @@ OooCore::handleEvent(int slot, uint64_t gen, EventKind kind)
 void
 OooCore::tryFastForward()
 {
-    for (const ReadyQueue& q : readyQ)
-        if (q.live > 0)
+    for (unsigned n : readyCount)
+        if (n > 0)
             return; // issueStage would issue
     for (const ThreadCtx& t : threads)
-        if (!t.rob.empty() && at(t.rob.front()).state == OpState::Done)
+        if (!t.rob.empty() && at(t.robSlot(0)).state == OpState::Done)
             return; // retireStage would retire
 
     unsigned d = nextEventDelay();
@@ -187,18 +205,16 @@ OooCore::tryFastForward()
             op.cls == OpClass::Nop || op.cls == OpClass::Jump ||
             op.cls == OpClass::Move || op.cls == OpClass::ZeroIdiom ||
             op.cls == OpClass::StackAdj;
-        if (t.rob.size() >= cfg.robPerThread()) {
+        if (t.rob.full()) {
             dRobFull = dZero = 1;
         } else if (!classRenameDone && rsUsed >= cfg.rsTotal()) {
             dRsFull = dZero = 1;
-        } else if (op.isLoad() && t.lbUsed >= cfg.lbPerThread()) {
+        } else if (op.isLoad() && t.loadList.full()) {
             dLbFull = dZero = 1;
-        } else if (op.isStore() && t.sbUsed >= cfg.sbPerThread()) {
+        } else if (op.isStore() && t.storeList.full()) {
             dSbFull = dZero = 1;
         } else if (op.isLoad() && mechs.renameLoadGateStall(0)) {
             dSldRead = dZero = 1;
-        } else if (freeSlots.empty()) {
-            dZero = 1;
         } else {
             return; // the next cycle would rename: real progress
         }

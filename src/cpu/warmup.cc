@@ -15,9 +15,9 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <utility>
 
+#include "common/flat.hh"
 #include "common/logging.hh"
 
 namespace constable {
@@ -87,9 +87,13 @@ OooCore::warmupAdvance(size_t target_idx, size_t touch_from_idx)
     // and the MRN forwarding-producer guess. Entries past the recency
     // bound are dead weight, so a FIFO log retires them as the cursor
     // advances -- without it the map grows with the whole warm region
-    // and its lookups dominate long advances.
-    std::unordered_map<Addr, WarmStore> recentStores;
-    std::deque<std::pair<Addr, size_t>> storeLog;
+    // and its lookups dominate long advances. The log holds at most the
+    // last kWarmStoreRecency + 1 ops' stores plus the current one, at two
+    // chunks each, which bounds both containers.
+    constexpr size_t kMaxLogged = 2 * (kWarmStoreRecency + 2);
+    FlatTable<Addr, WarmStore> recentStores(kMaxLogged);
+    FixedRing<std::pair<Addr, size_t>> storeLog;
+    storeLog.reset(kMaxLogged);
 
     while (t.traceIdx < target_idx) {
         const size_t idx = t.traceIdx;
@@ -98,10 +102,10 @@ OooCore::warmupAdvance(size_t target_idx, size_t touch_from_idx)
 
         while (!storeLog.empty() &&
                idx - storeLog.front().second > kWarmStoreRecency) {
-            auto it = recentStores.find(storeLog.front().first);
-            if (it != recentStores.end() &&
-                it->second.idx == storeLog.front().second)
-                recentStores.erase(it);
+            const auto [chunk, logged] = storeLog.front();
+            recentStores.eraseIf(chunk, [logged](const WarmStore& st) {
+                return st.idx == logged;
+            });
             storeLog.pop_front();
         }
 
@@ -121,10 +125,10 @@ OooCore::warmupAdvance(size_t target_idx, size_t touch_from_idx)
             Addr c0 = chunkOf(op.effAddr);
             Addr c1 = chunkOf(op.effAddr + op.size - 1);
             for (Addr c = c0; c <= c1; ++c) {
-                auto it = recentStores.find(c);
-                if (it == recentStores.end())
+                const WarmStore* found = recentStores.find(c);
+                if (!found)
                     continue;
-                const WarmStore& st = it->second;
+                const WarmStore& st = *found;
                 if (idx - st.idx > kWarmStoreRecency)
                     continue;
                 if (!overlaps(st.addr, st.size, op.effAddr, op.size))
@@ -145,7 +149,7 @@ OooCore::warmupAdvance(size_t target_idx, size_t touch_from_idx)
             for (Addr c = c0; c <= c1; ++c) {
                 recentStores[c] = WarmStore{ op.pc, op.effAddr, op.size,
                                              idx };
-                storeLog.emplace_back(c, idx);
+                storeLog.push_back({ c, idx });
             }
         }
 

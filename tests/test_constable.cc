@@ -219,6 +219,15 @@ TEST(Sld, RepeatedHalvingBottomsOutAndRetrains)
 
 // ------------------------------------------------------------------- RMT
 
+/** The PCs Rmt::drainOnWrite hands back for @p reg. */
+std::vector<PC>
+drain(Rmt& r, uint8_t reg)
+{
+    std::vector<PC> out;
+    r.drainOnWrite(reg, out);
+    return out;
+}
+
 TEST(Rmt, InsertAndDrain)
 {
     Rmt r;
@@ -226,10 +235,10 @@ TEST(Rmt, InsertAndDrain)
     EXPECT_TRUE(r.insert(RBX, 0x100, evicted));
     EXPECT_FALSE(r.insert(RBX, 0x100, evicted)); // duplicate
     EXPECT_TRUE(evicted.empty());
-    auto drained = r.drainOnWrite(RBX);
+    auto drained = drain(r, RBX);
     ASSERT_EQ(drained.size(), 1u);
     EXPECT_EQ(drained[0], 0x100u);
-    EXPECT_TRUE(r.drainOnWrite(RBX).empty());
+    EXPECT_TRUE(drain(r, RBX).empty());
 }
 
 TEST(Rmt, StackRegistersHaveLargerCapacity)
@@ -261,8 +270,8 @@ TEST(Rmt, RemovePcEverywhere)
     r.insert(RBX, 0x100, evicted);
     r.insert(RCX, 0x100, evicted);
     r.removePc(0x100);
-    EXPECT_TRUE(r.drainOnWrite(RBX).empty());
-    EXPECT_TRUE(r.drainOnWrite(RCX).empty());
+    EXPECT_TRUE(drain(r, RBX).empty());
+    EXPECT_TRUE(drain(r, RCX).empty());
 }
 
 TEST(Rmt, DrainLeavesOtherRegistersIntact)
@@ -271,12 +280,25 @@ TEST(Rmt, DrainLeavesOtherRegistersIntact)
     std::vector<PC> evicted;
     r.insert(RBX, 0x100, evicted);
     r.insert(RCX, 0x100, evicted);
-    auto drained = r.drainOnWrite(RBX);
+    auto drained = drain(r, RBX);
     ASSERT_EQ(drained.size(), 1u);
     EXPECT_EQ(drained[0], 0x100u);
     // RCX still monitors the PC until its own write (or removePc).
     EXPECT_EQ(r.occupancy(RCX), 1u);
-    EXPECT_EQ(r.drainOnWrite(RCX).size(), 1u);
+    EXPECT_EQ(drain(r, RCX).size(), 1u);
+}
+
+TEST(Rmt, DrainReplacesTheScratchBuffer)
+{
+    Rmt r;
+    std::vector<PC> evicted;
+    r.insert(RBX, 0x100, evicted);
+    std::vector<PC> out { 0xdead, 0xbeef };
+    r.drainOnWrite(RBX, out);
+    EXPECT_EQ(out, std::vector<PC>{ 0x100 });
+    r.drainOnWrite(RBX, out); // nothing left: the buffer empties
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(r.drains, 1u);
 }
 
 TEST(Rmt, FlushAll)
@@ -290,13 +312,22 @@ TEST(Rmt, FlushAll)
 
 // ------------------------------------------------------------------- AMT
 
+/** The PCs Amt::invalidate hands back for @p addr. */
+std::vector<PC>
+invalidated(Amt& a, Addr addr)
+{
+    std::vector<PC> out;
+    a.invalidate(addr, out);
+    return out;
+}
+
 TEST(Amt, InsertAndInvalidate)
 {
     Amt a;
     std::vector<PC> evicted;
     a.insert(0x5000, 0x100, evicted);
     EXPECT_TRUE(a.contains(0x5000));
-    auto pcs = a.invalidate(0x5000);
+    auto pcs = invalidated(a, 0x5000);
     ASSERT_EQ(pcs.size(), 1u);
     EXPECT_EQ(pcs[0], 0x100u);
     EXPECT_FALSE(a.contains(0x5000));
@@ -308,7 +339,7 @@ TEST(Amt, CachelineGranularityAliases)
     std::vector<PC> evicted;
     a.insert(0x5000, 0x100, evicted);
     // A store to a different byte of the same 64B line must hit.
-    auto pcs = a.invalidate(0x5038);
+    auto pcs = invalidated(a, 0x5038);
     EXPECT_EQ(pcs.size(), 1u);
 }
 
@@ -319,8 +350,8 @@ TEST(Amt, FullAddressModeDistinguishesBytes)
     Amt a(cfg);
     std::vector<PC> evicted;
     a.insert(0x5000, 0x100, evicted);
-    EXPECT_TRUE(a.invalidate(0x5038).empty());
-    EXPECT_EQ(a.invalidate(0x5000).size(), 1u);
+    EXPECT_TRUE(invalidated(a, 0x5038).empty());
+    EXPECT_EQ(invalidated(a, 0x5000).size(), 1u);
 }
 
 TEST(Amt, MultiplePcsPerEntry)
@@ -329,7 +360,7 @@ TEST(Amt, MultiplePcsPerEntry)
     std::vector<PC> evicted;
     a.insert(0x5000, 0x100, evicted);
     a.insert(0x5008, 0x200, evicted); // same line
-    auto pcs = a.invalidate(0x5000);
+    auto pcs = invalidated(a, 0x5000);
     EXPECT_EQ(pcs.size(), 2u);
 }
 
@@ -363,7 +394,24 @@ TEST(Amt, DuplicateInsertIgnored)
     std::vector<PC> evicted;
     a.insert(0x5000, 0x100, evicted);
     a.insert(0x5000, 0x100, evicted);
-    EXPECT_EQ(a.invalidate(0x5000).size(), 1u);
+    EXPECT_EQ(invalidated(a, 0x5000).size(), 1u);
+}
+
+TEST(Amt, InvalidateReplacesTheScratchBuffer)
+{
+    Amt a;
+    std::vector<PC> evicted;
+    a.insert(0x5000, 0x100, evicted);
+    std::vector<PC> out { 0xdead };
+    a.invalidate(0x5000, out);
+    EXPECT_EQ(out, std::vector<PC>{ 0x100 });
+    a.invalidate(0x5000, out); // miss: the buffer empties
+    EXPECT_TRUE(out.empty());
+    // The recycled entry tracks a new line from scratch.
+    a.insert(0x9000, 0x200, evicted);
+    a.invalidate(0x9000, out);
+    EXPECT_EQ(out, std::vector<PC>{ 0x200 });
+    EXPECT_EQ(a.invalidations, 2u);
 }
 
 TEST(Amt, FlushAll)
