@@ -117,9 +117,7 @@ class FixedRing
     T& operator[](size_t i) { return buf_[idx_.phys(i)]; }
     const T& operator[](size_t i) const { return buf_[idx_.phys(i)]; }
     T& front() { return (*this)[0]; }
-    const T& front() const { return (*this)[0]; }
     T& back() { return (*this)[size() - 1]; }
-    const T& back() const { return (*this)[size() - 1]; }
 
     void push_back(const T& v) { buf_[idx_.pushBack()] = v; }
     void pop_front() { idx_.popFront(); }

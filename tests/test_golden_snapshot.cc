@@ -63,6 +63,50 @@ hex16(uint64_t v)
     return buf;
 }
 
+/** Chained fingerprint of one preset over every suite row on @p core. The
+ *  stat sums in @p totals let a case prove the paths it meant to cover
+ *  actually ran. */
+uint64_t
+noSmtFingerprint(const Suite& suite, const char* preset,
+                 const CoreConfig& core, StatSet* totals = nullptr)
+{
+    uint64_t fp = 0xcbf29ce484222325ull;
+    for (size_t row = 0; row < suite.size(); ++row) {
+        const auto& gs = suite.globalStablePcs(row);
+        SystemConfig cfg { core, mechFor(preset, &gs) };
+        RunResult r = runTrace(suite.trace(row), cfg, &gs);
+        EXPECT_FALSE(r.goldenCheckFailed)
+            << preset << ": " << r.goldenCheckMessage;
+        if (totals)
+            totals->merge(r.stats);
+        auto bytes = serializeRunResult(r);
+        fp ^= fnv1a(bytes.data(), bytes.size());
+        fp *= 0x100000001b3ull;
+    }
+    return fp;
+}
+
+/** The same chain over every SMT2 trace pair (thread 1 relocated). */
+uint64_t
+smt2Fingerprint(const Suite& suite, const char* preset,
+                StatSet* totals = nullptr)
+{
+    uint64_t fp = 0xcbf29ce484222325ull;
+    for (const auto& [t0, t1] : suite.smtTracePairs()) {
+        SystemConfig cfg { CoreConfig{}, mechFor(preset) };
+        cfg.core.smt2 = true;
+        RunResult r = runSmtPair(*t0, *t1, cfg);
+        EXPECT_FALSE(r.goldenCheckFailed)
+            << preset << ": " << r.goldenCheckMessage;
+        if (totals)
+            totals->merge(r.stats);
+        auto bytes = serializeRunResult(r);
+        fp ^= fnv1a(bytes.data(), bytes.size());
+        fp *= 0x100000001b3ull;
+    }
+    return fp;
+}
+
 TEST(GoldenSnapshot, BlessedUnderTheCurrentCellModelVersion)
 {
     // Re-blessed fingerprints with an unchanged version would let a store
@@ -103,72 +147,24 @@ TEST(GoldenSnapshot, NoSmtPresetsBitIdentical)
     for (size_t p = 0; p < 16; ++p) {
         ASSERT_EQ(presets[p].name, kCases[p].name)
             << "registry order drifted from the snapshot table";
-        // One fingerprint per preset over every suite row: chain the FNV
-        // hashes of each row's serialized RunResult.
-        uint64_t fp = 0xcbf29ce484222325ull;
-        for (size_t row = 0; row < suite.size(); ++row) {
-            const auto& gs = suite.globalStablePcs(row);
-            SystemConfig cfg { CoreConfig{}, mechFor(kCases[p].name, &gs) };
-            RunResult r = runTrace(suite.trace(row), cfg, &gs);
-            EXPECT_FALSE(r.goldenCheckFailed)
-                << kCases[p].name << ": " << r.goldenCheckMessage;
-            auto bytes = serializeRunResult(r);
-            fp ^= fnv1a(bytes.data(), bytes.size());
-            fp *= 0x100000001b3ull;
-        }
-        EXPECT_EQ(kCases[p].expected, hex16(fp)) << kCases[p].name;
+        EXPECT_EQ(kCases[p].expected,
+                  hex16(noSmtFingerprint(suite, kCases[p].name, CoreConfig{})))
+            << kCases[p].name;
     }
-}
-
-/** Chained fingerprint of one preset over every suite row on @p core. The
- *  stat sums in @p totals let a case prove the paths it meant to cover
- *  actually ran. */
-uint64_t
-noSmtFingerprint(const Suite& suite, const char* preset,
-                 const CoreConfig& core, StatSet* totals = nullptr)
-{
-    uint64_t fp = 0xcbf29ce484222325ull;
-    for (size_t row = 0; row < suite.size(); ++row) {
-        const auto& gs = suite.globalStablePcs(row);
-        SystemConfig cfg { core, mechFor(preset, &gs) };
-        RunResult r = runTrace(suite.trace(row), cfg, &gs);
-        EXPECT_FALSE(r.goldenCheckFailed)
-            << preset << ": " << r.goldenCheckMessage;
-        if (totals)
-            totals->merge(r.stats);
-        auto bytes = serializeRunResult(r);
-        fp ^= fnv1a(bytes.data(), bytes.size());
-        fp *= 0x100000001b3ull;
-    }
-    return fp;
 }
 
 TEST(GoldenSnapshot, Smt2PresetsBitIdentical)
 {
     const PresetCase kCases[2] = {
-        { "smt2-baseline", "0f180dc1341b5034" },
-        { "smt2-constable", "0dd46e32890ab99a" },
+        { "baseline", "0f180dc1341b5034" },
+        { "constable", "0dd46e32890ab99a" },
     };
 
     Suite suite = Suite::prepare(snapshotOpts(), true);
-    auto pairs = suite.smtTracePairs();
-    ASSERT_FALSE(pairs.empty());
-
-    for (size_t p = 0; p < 2; ++p) {
-        uint64_t fp = 0xcbf29ce484222325ull;
-        for (const auto& [t0, t1] : pairs) {
-            SystemConfig cfg { CoreConfig{},
-                               p == 0 ? mechFor("baseline") : mechFor("constable") };
-            cfg.core.smt2 = true;
-            RunResult r = runSmtPair(*t0, *t1, cfg);
-            EXPECT_FALSE(r.goldenCheckFailed)
-                << kCases[p].name << ": " << r.goldenCheckMessage;
-            auto bytes = serializeRunResult(r);
-            fp ^= fnv1a(bytes.data(), bytes.size());
-            fp *= 0x100000001b3ull;
-        }
-        EXPECT_EQ(kCases[p].expected, hex16(fp)) << kCases[p].name;
-    }
+    ASSERT_FALSE(suite.smtTracePairs().empty());
+    for (const PresetCase& c : kCases)
+        EXPECT_EQ(c.expected, hex16(smt2Fingerprint(suite, c.name)))
+            << "smt2-" << c.name;
 }
 
 /** 20k-op traces: every thread's ROB ring wraps about 40 times, and
@@ -221,30 +217,16 @@ TEST(GoldenSnapshot, LongTraceNoSmtBitIdentical)
 TEST(GoldenSnapshot, LongTraceSmt2BitIdentical)
 {
     const PresetCase kCases[2] = {
-        { "smt2-baseline", "6585f1409662b2dd" },
-        { "smt2-constable", "c6978b4c295f12d0" },
+        { "baseline", "6585f1409662b2dd" },
+        { "constable", "c6978b4c295f12d0" },
     };
 
     Suite suite = Suite::prepare(longOpts(), true);
-    auto pairs = suite.smtTracePairs();
-    ASSERT_FALSE(pairs.empty());
+    ASSERT_FALSE(suite.smtTracePairs().empty());
     StatSet totals;
-    for (size_t p = 0; p < 2; ++p) {
-        uint64_t fp = 0xcbf29ce484222325ull;
-        for (const auto& [t0, t1] : pairs) {
-            SystemConfig cfg { CoreConfig{},
-                               p == 0 ? mechFor("baseline") : mechFor("constable") };
-            cfg.core.smt2 = true;
-            RunResult r = runSmtPair(*t0, *t1, cfg);
-            EXPECT_FALSE(r.goldenCheckFailed)
-                << kCases[p].name << ": " << r.goldenCheckMessage;
-            totals.merge(r.stats);
-            auto bytes = serializeRunResult(r);
-            fp ^= fnv1a(bytes.data(), bytes.size());
-            fp *= 0x100000001b3ull;
-        }
-        EXPECT_EQ(kCases[p].expected, hex16(fp)) << kCases[p].name;
-    }
+    for (const PresetCase& c : kCases)
+        EXPECT_EQ(c.expected, hex16(smt2Fingerprint(suite, c.name, &totals)))
+            << "smt2-" << c.name;
     EXPECT_GT(totals.get("fbu.squash"), 0.0);
 }
 
