@@ -67,9 +67,9 @@ struct SlotRef
 
 /**
  * Trivially-copyable part of an in-flight op: slot recycling resets it
- * with one aggregate assignment (memset-class code) instead of running
- * member-wise constructors, and keeps the consumer list's storage alive
- * across generations.
+ * with one aggregate copy of a reset image (memcpy-class code) instead of
+ * running member-wise constructors, and keeps the consumer list's storage
+ * alive across generations.
  */
 struct InFlightState
 {
