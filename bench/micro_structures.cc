@@ -4,8 +4,9 @@
  * models (SLD lookup/train, RMT insert/drain, AMT insert/invalidate, the
  * end-to-end engine rename path) and of the core's in-flight window
  * structures (the ready-bitmap oldest-first select, the store-buffer chunk
- * index, the LB/SB rings). These gauge simulator throughput (not hardware
- * latency) so regressions in the model's hot paths surface.
+ * index, the LB/SB rings), plus the batch pool's per-job dispatch cost.
+ * These gauge simulator throughput (not hardware latency) so regressions in
+ * the model's hot paths surface.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "common/flat.hh"
 #include "common/rng.hh"
 #include "core/constable.hh"
+#include "sim/batch.hh"
 
 namespace constable {
 namespace {
@@ -212,6 +214,22 @@ BM_RingPushPop(benchmark::State& state)
     }
 }
 BENCHMARK(BM_RingPushPop);
+
+/** Batch-pool dispatch: 1024 empty jobs per ThreadPool::run on a pool of
+ *  range(0) workers (the caller included). time_per_job is the claim,
+ *  call and completion-wait cost one job adds to a batch. */
+void
+BM_PoolRun(benchmark::State& state)
+{
+    constexpr size_t kJobs = 1024;
+    ThreadPool pool(static_cast<unsigned>(state.range(0)));
+    for (auto _ : state)
+        pool.run(kJobs, [](size_t i) { benchmark::DoNotOptimize(i); });
+    state.counters["time_per_job"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kJobs),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PoolRun)->Arg(1)->Arg(4)->UseRealTime();
 
 } // namespace
 } // namespace constable

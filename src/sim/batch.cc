@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/env.hh"
-#include "common/logging.hh"
 #include "common/obs.hh"
 #include "trace/serialize.hh"
 
@@ -29,9 +28,6 @@ ThreadPool::ThreadPool(unsigned concurrency)
                        ? defaultConcurrency()
                        : std::min(concurrency, kMaxConcurrency))
 {
-    shards_.reserve(concurrency_);
-    for (unsigned i = 0; i < concurrency_; ++i)
-        shards_.push_back(std::make_unique<Shard>());
     // Worker 0 is the calling thread; only the rest get dedicated threads.
     threads_.reserve(concurrency_ - 1);
     for (unsigned id = 1; id < concurrency_; ++id)
@@ -49,43 +45,13 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-bool
-ThreadPool::grabWork(unsigned id, std::pair<size_t, size_t>& out)
-{
-    // Own deque first: newest chunk (back) for locality.
-    {
-        Shard& own = *shards_[id];
-        std::lock_guard<std::mutex> lk(own.mu);
-        if (!own.chunks.empty()) {
-            out = own.chunks.back();
-            own.chunks.pop_back();
-            return true;
-        }
-    }
-    // Then steal the oldest chunk (front) from the first non-empty victim.
-    for (unsigned k = 1; k < concurrency_; ++k) {
-        Shard& victim = *shards_[(id + k) % concurrency_];
-        std::lock_guard<std::mutex> lk(victim.mu);
-        if (!victim.chunks.empty()) {
-            out = victim.chunks.front();
-            victim.chunks.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::drain(unsigned id, const std::function<void(size_t)>& fn)
+ThreadPool::drain(size_t n, const std::function<void(size_t)>& fn)
 {
-    std::pair<size_t, size_t> range;
-    while (grabWork(id, range)) {
-        tlsInPoolJob = true;
-        for (size_t i = range.first; i < range.second; ++i)
-            fn(i);
-        tlsInPoolJob = false;
-        pending_.fetch_sub(range.second - range.first);
-    }
+    tlsInPoolJob = true;
+    for (size_t i = next_.fetch_add(1); i < n; i = next_.fetch_add(1))
+        fn(i);
+    tlsInPoolJob = false;
 }
 
 void
@@ -98,6 +64,7 @@ ThreadPool::workerLoop(unsigned id)
     uint64_t seenBatch = 0;
     for (;;) {
         const std::function<void(size_t)>* fn = nullptr;
+        size_t n = 0;
         {
             std::unique_lock<std::mutex> lk(mu_);
             cvStart_.wait(lk, [&]() {
@@ -107,12 +74,13 @@ ThreadPool::workerLoop(unsigned id)
                 return;
             seenBatch = batchId_;
             fn = fn_;
+            n = n_;
             // Committed to this batch: run() must not return (and the next
-            // batch must not load chunks) until this worker leaves drain(),
-            // or a slow worker could run new chunks with a stale fn.
+            // batch must not reset the cursor) until this worker leaves
+            // drain(), or a slow worker could claim new jobs with a stale fn.
             ++active_;
         }
-        drain(id, *fn);
+        drain(n, *fn);
         {
             std::lock_guard<std::mutex> lk(mu_);
             --active_;
@@ -134,31 +102,21 @@ ThreadPool::run(size_t n, const std::function<void(size_t)>& fn)
     }
 
     std::lock_guard<std::mutex> batch(runMu_);
-
-    // Deal chunks round-robin so stealing starts balanced; ~4 chunks per
-    // worker keeps steal traffic low while still smoothing skewed job costs.
-    size_t chunk = std::max<size_t>(1, n / (size_t(concurrency_) * 4));
-    size_t nextShard = 0;
-    for (size_t begin = 0; begin < n; begin += chunk) {
-        size_t end = std::min(n, begin + chunk);
-        Shard& s = *shards_[nextShard++ % concurrency_];
-        std::lock_guard<std::mutex> lk(s.mu);
-        s.chunks.emplace_back(begin, end);
-    }
-    pending_.store(n);
     {
         std::lock_guard<std::mutex> lk(mu_);
+        next_.store(0);
         fn_ = &fn;
+        n_ = n;
         ++batchId_;
     }
     cvStart_.notify_all();
 
-    // The submitting thread works too (worker 0's shard is its home).
-    drain(0, fn);
+    // The submitting thread claims jobs too. Once its drain() returns every
+    // job is claimed, so the batch is done when no worker is inside drain().
+    drain(n, fn);
 
     std::unique_lock<std::mutex> lk(mu_);
-    cvDone_.wait(lk,
-                 [&]() { return pending_.load() == 0 && active_ == 0; });
+    cvDone_.wait(lk, [&]() { return active_ == 0; });
     fn_ = nullptr;
 }
 
@@ -190,17 +148,6 @@ dispatch(size_t n, const BatchOptions& opts,
     }
 }
 
-/** Wrap row-independent configs for the factory-based entry points. */
-std::vector<ConfigFactory>
-toFactories(const std::vector<SystemConfig>& configs)
-{
-    std::vector<ConfigFactory> factories;
-    factories.reserve(configs.size());
-    for (const SystemConfig& c : configs)
-        factories.push_back([c](size_t) { return c; });
-    return factories;
-}
-
 } // namespace
 
 BatchOptions
@@ -222,7 +169,7 @@ forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,
 {
     dispatch(n, opts, [&](size_t job) {
         // Seeded from (master seed, job) only: independent of the executing
-        // worker, so any steal schedule reproduces the same streams.
+        // worker, so any claim order reproduces the same streams.
         Rng rng(Rng::splitmix(opts.seed) ^ Rng::splitmix(job + 1));
         fn(job, rng);
     });
@@ -256,64 +203,6 @@ MatrixResult::fingerprint() const
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-MatrixResult
-runMatrix(const std::vector<const Trace*>& traces,
-          const std::vector<ConfigFactory>& configs,
-          const std::vector<const std::unordered_set<PC>*>& gs,
-          const BatchOptions& opts)
-{
-    if (!gs.empty() && gs.size() != traces.size())
-        panic("runMatrix: gs must be empty or one entry per trace");
-    MatrixResult m;
-    m.numRows = traces.size();
-    m.numConfigs = configs.size();
-    m.results.resize(m.numRows * m.numConfigs);
-    forEachJob(m.results.size(), [&](size_t job, Rng&) {
-        size_t row = job / m.numConfigs;
-        size_t cfgIdx = job % m.numConfigs;
-        SystemConfig cfg = configs[cfgIdx](row);
-        const std::unordered_set<PC>* g = gs.empty() ? nullptr : gs[row];
-        m.results[job] = runTrace(*traces[row], cfg, g);
-    }, opts);
-    return m;
-}
-
-MatrixResult
-runMatrix(const std::vector<const Trace*>& traces,
-          const std::vector<SystemConfig>& configs,
-          const std::vector<const std::unordered_set<PC>*>& gs,
-          const BatchOptions& opts)
-{
-    return runMatrix(traces, toFactories(configs), gs, opts);
-}
-
-MatrixResult
-runSmtMatrix(const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-             const std::vector<ConfigFactory>& configs,
-             const BatchOptions& opts)
-{
-    MatrixResult m;
-    m.numRows = pairs.size();
-    m.numConfigs = configs.size();
-    m.results.resize(m.numRows * m.numConfigs);
-    forEachJob(m.results.size(), [&](size_t job, Rng&) {
-        size_t row = job / m.numConfigs;
-        size_t cfgIdx = job % m.numConfigs;
-        SystemConfig cfg = configs[cfgIdx](row);
-        m.results[job] =
-            runSmtPair(*pairs[row].first, *pairs[row].second, cfg);
-    }, opts);
-    return m;
-}
-
-MatrixResult
-runSmtMatrix(const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-             const std::vector<SystemConfig>& configs,
-             const BatchOptions& opts)
-{
-    return runSmtMatrix(pairs, toFactories(configs), opts);
 }
 
 } // namespace constable

@@ -1,12 +1,13 @@
 /**
  * @file
- * Batch experiment runner: a work-stealing thread pool plus a deterministic
- * {trace x SystemConfig} matrix driver. Results are written into
- * pre-allocated row-major slots and aggregated in index order, so the
- * figures a bench prints are bit-identical whether the matrix ran on one
- * thread or sixteen, and independent of job completion order. Each job also
- * receives a private RNG stream derived from (master seed, job index) via
- * splitmix64 so randomized sweeps stay reproducible under stealing.
+ * Batch runner: a thread pool whose workers claim one job at a time from a
+ * shared cursor, per-job RNG streams, and the row-major result grid of a
+ * {row x SystemConfig} matrix. Each job writes its own pre-allocated slot
+ * and results are aggregated in index order, so the figures a bench prints
+ * are bit-identical whether the matrix ran on one thread or sixteen, and
+ * independent of which worker ran which job. Each job also receives a
+ * private RNG stream derived from (master seed, job index) via splitmix64
+ * so randomized sweeps stay reproducible on any schedule.
  */
 
 #ifndef CONSTABLE_SIM_BATCH_HH
@@ -14,13 +15,9 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -29,11 +26,12 @@
 namespace constable {
 
 /**
- * Work-stealing thread pool. Chunks of the iteration space are dealt
- * round-robin to per-worker deques; owners pop from the back (LIFO, cache
- * friendly) while idle workers steal from the front (FIFO, oldest chunk).
- * The calling thread participates as worker 0, so a pool built on a
- * single-core host still makes progress with zero background threads.
+ * Self-scheduling thread pool. Every worker of a batch claims the next job
+ * index from one shared atomic cursor until the cursor passes the batch
+ * size, so no worker idles while a job is unclaimed and a slow job delays
+ * only itself. The calling thread participates as worker 0, so a pool
+ * built on a single-core host still makes progress with zero background
+ * threads.
  */
 class ThreadPool
 {
@@ -64,29 +62,26 @@ class ThreadPool
     static ThreadPool& global();
 
   private:
-    struct Shard
-    {
-        std::mutex mu;
-        std::deque<std::pair<size_t, size_t>> chunks; ///< [begin, end) ranges
-    };
-
     void workerLoop(unsigned id);
-    bool grabWork(unsigned id, std::pair<size_t, size_t>& out);
-    void drain(unsigned id, const std::function<void(size_t)>& fn);
+    void drain(size_t n, const std::function<void(size_t)>& fn);
 
     unsigned concurrency_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> threads_;
 
     std::mutex runMu_;  ///< one batch in flight at a time
     std::mutex mu_;     ///< guards batch hand-off state below
     std::condition_variable cvStart_;
     std::condition_variable cvDone_;
     const std::function<void(size_t)>* fn_ = nullptr;
+    size_t n_ = 0;      ///< job count of the batch in flight
     uint64_t batchId_ = 0;
-    std::atomic<size_t> pending_ { 0 };
     unsigned active_ = 0; ///< workers currently inside drain() (guarded by mu_)
     bool shutdown_ = false;
+
+    /** Next unclaimed job index of the batch in flight. Reset only while no
+     *  worker is inside drain(); it ends at or past n_. */
+    std::atomic<size_t> next_ { 0 };
+
+    std::vector<std::thread> threads_; ///< last: workers use every member
 };
 
 /** Knobs shared by every batch entry point. */
@@ -106,7 +101,7 @@ BatchOptions batchOptionsFromEnv();
 /**
  * Run fn(job, rng) for job in [0, n). The rng argument is seeded from
  * (opts.seed, job) only, never from the executing worker, so results are
- * reproducible for any thread count and any steal pattern.
+ * reproducible for any thread count and any claim order.
  */
 void forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,
                 const BatchOptions& opts = {});
@@ -145,36 +140,6 @@ struct MatrixResult
 /** Builds the SystemConfig for one matrix cell; may depend on the row
  *  (e.g. ideal-oracle presets seeded with per-workload stable-PC sets). */
 using ConfigFactory = std::function<SystemConfig(size_t row)>;
-
-/**
- * Fan a {trace x config} matrix out across the pool. gs is optional
- * per-row stats-classification PC sets (empty, or one entry per trace,
- * null entries allowed).
- */
-MatrixResult runMatrix(const std::vector<const Trace*>& traces,
-                       const std::vector<ConfigFactory>& configs,
-                       const std::vector<const std::unordered_set<PC>*>& gs =
-                           {},
-                       const BatchOptions& opts = {});
-
-/** Convenience overload for row-independent configurations. */
-MatrixResult runMatrix(const std::vector<const Trace*>& traces,
-                       const std::vector<SystemConfig>& configs,
-                       const std::vector<const std::unordered_set<PC>*>& gs =
-                           {},
-                       const BatchOptions& opts = {});
-
-/** SMT2 variant: each row is a co-running trace pair (Figs 14/15). */
-MatrixResult runSmtMatrix(
-    const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-    const std::vector<ConfigFactory>& configs,
-    const BatchOptions& opts = {});
-
-/** Convenience overload for row-independent SMT configurations. */
-MatrixResult runSmtMatrix(
-    const std::vector<std::pair<const Trace*, const Trace*>>& pairs,
-    const std::vector<SystemConfig>& configs,
-    const BatchOptions& opts = {});
 
 } // namespace constable
 

@@ -13,13 +13,13 @@
  *    is configured: each trace is generated once and loaded thereafter,
  *    keyed by a hash of the full spec.
  *
- *  - Experiment: a facade over runMatrix()/runSmtMatrix() with *named*
- *    configurations, an optional content-addressed cell store under the
- *    checkpoint directory (an interrupted sweep resumes from completed
- *    cells, and a cell another experiment already committed is loaded
- *    instead of simulated; both bit-identical to a fresh run), and the
- *    paper's category geomean / mean / box-whisker reporters as methods
- *    on the result.
+ *  - Experiment: a {trace or SMT pair x config} sweep on the batch pool
+ *    with *named* configurations, an optional content-addressed cell
+ *    store under the checkpoint directory (an interrupted sweep resumes
+ *    from completed cells, and a cell another experiment already
+ *    committed is loaded instead of simulated; both bit-identical to a
+ *    fresh run), and the paper's category geomean / mean / box-whisker
+ *    reporters as methods on the result.
  */
 
 #ifndef CONSTABLE_SIM_EXPERIMENT_HH

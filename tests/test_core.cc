@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "inspector/load_inspector.hh"
+#include "sim/batch.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
 #include "workloads/suite.hh"
@@ -331,10 +332,10 @@ TEST(Runner, SpeedupMath)
     EXPECT_DOUBLE_EQ(speedup(a, b), 2.0);
 }
 
-TEST(Runner, ParallelForCoversAllIndices)
+TEST(Runner, GlobalPoolCoversAllIndices)
 {
     std::vector<std::atomic<int>> hits(64);
-    parallelFor(64, [&](size_t i) { hits[i]++; });
+    ThreadPool::global().run(64, [&](size_t i) { hits[i]++; });
     for (auto& h : hits)
         EXPECT_EQ(h.load(), 1);
 }

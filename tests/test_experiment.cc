@@ -782,7 +782,7 @@ TEST(OptionsDeathTest, UnknownFlagIsFatal)
 
 // ------------------------------------------------------------- facade shape
 
-TEST(Experiment, MatchesDirectRunMatrixBitExactly)
+TEST(Experiment, MatchesDirectRunTraceBitExactly)
 {
     ExperimentOptions opts = serialOpts();
     Suite suite = Suite::fromSpecs(twoSpecs(), opts);
@@ -792,12 +792,22 @@ TEST(Experiment, MatchesDirectRunMatrixBitExactly)
                    .add("constable", mechFor("constable"))
                    .run();
 
+    // The same cells run by hand, row-major, each through runTrace with
+    // its row's stats-classification set.
     std::vector<SystemConfig> configs = {
         { CoreConfig{}, mechFor("baseline") },
         { CoreConfig{}, mechFor("constable") },
     };
-    MatrixResult direct =
-        runMatrix(suite.tracePtrs(), configs, suite.gsPtrs(), opts.batch());
+    MatrixResult direct;
+    direct.numRows = suite.size();
+    direct.numConfigs = configs.size();
+    direct.results.resize(direct.numRows * direct.numConfigs);
+    forEachJob(direct.results.size(), [&](size_t job, Rng&) {
+        size_t row = job / direct.numConfigs;
+        direct.results[job] =
+            runTrace(suite.trace(row), configs[job % direct.numConfigs],
+                     &suite.globalStablePcs(row));
+    }, opts.batch());
 
     ASSERT_EQ(res.matrix().results.size(), direct.results.size());
     EXPECT_EQ(res.matrix().fingerprint(), direct.fingerprint());

@@ -1,17 +1,22 @@
 /**
  * @file
- * Tests for the sim layer: the work-stealing ThreadPool, determinism of the
- * batch matrix runner across thread counts, and smoke coverage of every
- * mechanism registry preset in sim/mechanisms.hh.
+ * Tests for the sim layer: the self-scheduling ThreadPool (one shared claim
+ * cursor), determinism of Experiment sweeps across thread counts, and smoke
+ * coverage of every mechanism registry preset in sim/mechanisms.hh.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "inspector/load_inspector.hh"
 #include "sim/batch.hh"
+#include "sim/experiment.hh"
 #include "sim/mechanisms.hh"
 #include "sim/runner.hh"
 #include "trace/generator.hh"
@@ -63,6 +68,70 @@ TEST(ThreadPool, ZeroAndOneSizedBatches)
     EXPECT_EQ(calls, 1u);
 }
 
+TEST(ThreadPool, BlockedJobDoesNotHoldOthersHostage)
+{
+    // Job 0 blocks until every other job has run. A pool that hands a
+    // worker a run of jobs behind job 0 can never finish them, so the
+    // bounded wait times out instead of hanging the test.
+    ThreadPool pool(4);
+    constexpr size_t kN = 64;
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t others = 0;
+    size_t othersSeen = 0;
+    bool released = false;
+    pool.run(kN, [&](size_t i) {
+        std::unique_lock<std::mutex> lk(mu);
+        if (i == 0) {
+            released = cv.wait_for(lk, std::chrono::seconds(3),
+                                   [&]() { return others == kN - 1; });
+            othersSeen = others;
+        } else {
+            ++others;
+            cv.notify_all();
+        }
+    });
+    EXPECT_TRUE(released) << "only " << othersSeen << " of " << kN - 1
+                          << " other jobs ran while job 0 waited";
+}
+
+TEST(ThreadPool, ManyBatchesOfVaryingSize)
+{
+    // Back-to-back batches reset the claim cursor while workers of the
+    // previous batch may still be leaving it; every index of every batch
+    // must run exactly once. Every fifth batch nests a run per job.
+    ThreadPool pool(4);
+    constexpr size_t kMaxN = 200;
+    constexpr size_t kInner = 3;
+    std::vector<std::atomic<unsigned>> hits(kMaxN);
+    std::vector<std::atomic<unsigned>> innerHits(kMaxN * kInner);
+    for (size_t round = 0; round < 400; ++round) {
+        size_t n = (round * 37) % (kMaxN + 1);
+        bool nested = round % 5 == 0;
+        for (auto& h : hits)
+            h.store(0);
+        for (auto& h : innerHits)
+            h.store(0);
+        pool.run(n, [&](size_t i) {
+            hits[i].fetch_add(1);
+            if (nested) {
+                pool.run(kInner, [&](size_t j) {
+                    innerHits[i * kInner + j].fetch_add(1);
+                });
+            }
+        });
+        for (size_t i = 0; i < kMaxN; ++i) {
+            ASSERT_EQ(hits[i].load(), i < n ? 1u : 0u)
+                << "round " << round << " n " << n << " index " << i;
+            for (size_t j = 0; j < kInner; ++j) {
+                ASSERT_EQ(innerHits[i * kInner + j].load(),
+                          nested && i < n ? 1u : 0u)
+                    << "round " << round << " index " << i << "." << j;
+            }
+        }
+    }
+}
+
 TEST(ForEachJob, RngStreamsIndependentOfThreadCount)
 {
     constexpr size_t kJobs = 64;
@@ -97,7 +166,7 @@ TEST(ForEachJob, SeedChangesStreams)
 
 // ------------------------------------------------------- matrix determinism
 
-/** Small two-trace fixture shared by the matrix tests. */
+/** Small two-trace suite shared by the sweep determinism tests. */
 class MatrixDeterminism : public ::testing::Test
 {
   protected:
@@ -106,111 +175,113 @@ class MatrixDeterminism : public ::testing::Test
     {
         auto specs = smokeSuite(1500);
         specs.resize(2);
-        for (const auto& spec : specs)
-            traces.push_back(generateTrace(spec));
-        for (const auto& t : traces)
-            tracePtrs.push_back(&t);
+        suite = std::make_unique<Suite>(
+            Suite::fromSpecs(specs, optsAt(1)));
     }
 
-    std::vector<Trace> traces;
-    std::vector<const Trace*> tracePtrs;
+    static ExperimentOptions
+    optsAt(unsigned threads)
+    {
+        ExperimentOptions opts;
+        opts.threads = threads;
+        opts.progressSec = 0;
+        return opts;
+    }
+
+    std::unique_ptr<Suite> suite;
 };
 
 TEST_F(MatrixDeterminism, ParallelMatchesSerialBitExactly)
 {
-    std::vector<SystemConfig> configs = {
-        { CoreConfig{}, mechFor("baseline") },
-        { CoreConfig{}, mechFor("constable") },
-        { CoreConfig{}, mechFor("eves+constable") },
+    auto sweep = [&](unsigned threads) {
+        return Experiment("det", *suite, optsAt(threads))
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .add("eves+constable", mechFor("eves+constable"))
+            .run();
     };
-
-    BatchOptions serial;
-    serial.threads = 1;
-    MatrixResult ref = runMatrix(tracePtrs, configs, {}, serial);
+    ExperimentResult ref = sweep(1);
 
     for (unsigned threads : { 2u, 4u, 8u }) {
-        BatchOptions par;
-        par.threads = threads;
-        MatrixResult got = runMatrix(tracePtrs, configs, {}, par);
-        ASSERT_EQ(got.results.size(), ref.results.size());
-        for (size_t i = 0; i < ref.results.size(); ++i) {
-            EXPECT_EQ(got.results[i].cycles, ref.results[i].cycles)
+        ExperimentResult got = sweep(threads);
+        const MatrixResult& g = got.matrix();
+        const MatrixResult& r = ref.matrix();
+        ASSERT_EQ(g.results.size(), r.results.size());
+        for (size_t i = 0; i < r.results.size(); ++i) {
+            EXPECT_EQ(g.results[i].cycles, r.results[i].cycles)
                 << "cell " << i << " @ " << threads << " threads";
-            EXPECT_EQ(got.results[i].instructions,
-                      ref.results[i].instructions);
+            EXPECT_EQ(g.results[i].instructions, r.results[i].instructions);
         }
         // Aggregate stats merge in index order: the full named-counter map
         // must be bit-identical, not just the headline numbers.
-        EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all())
+        EXPECT_EQ(g.aggregateStats().all(), r.aggregateStats().all())
             << "aggregate stats diverge @ " << threads << " threads";
-        EXPECT_EQ(got.fingerprint(), ref.fingerprint());
+        EXPECT_EQ(g.fingerprint(), r.fingerprint());
     }
 }
 
 TEST_F(MatrixDeterminism, SmtMatrixParallelMatchesSerial)
 {
-    std::vector<std::pair<const Trace*, const Trace*>> pairs = {
-        { &traces[0], &traces[1] },
-        { &traces[1], &traces[0] },
+    // Rows (t0, t2) and (t1, t3) of this four-trace suite are the pairs
+    // (a, b) and (b, a), so each trace runs as both SMT threads.
+    std::vector<Trace> traces;
+    for (size_t i : { 0, 1, 1, 0 })
+        traces.push_back(suite->trace(i));
+    Suite pairs = Suite::fromTraces(std::move(traces), /*inspect=*/false);
+    auto sweep = [&](unsigned threads) {
+        return Experiment("smt-det", pairs, optsAt(threads))
+            .add("baseline", mechFor("baseline"))
+            .add("constable", mechFor("constable"))
+            .runSmt();
     };
-    std::vector<SystemConfig> configs = {
-        { CoreConfig{}, mechFor("baseline") },
-        { CoreConfig{}, mechFor("constable") },
-    };
-
-    BatchOptions serial;
-    serial.threads = 1;
-    MatrixResult ref = runSmtMatrix(pairs, configs, serial);
-
-    BatchOptions par;
-    par.threads = 4;
-    MatrixResult got = runSmtMatrix(pairs, configs, par);
-    ASSERT_EQ(got.results.size(), ref.results.size());
-    for (size_t i = 0; i < ref.results.size(); ++i)
-        EXPECT_EQ(got.results[i].cycles, ref.results[i].cycles);
-    EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all());
+    ExperimentResult ref = sweep(1);
+    ExperimentResult got = sweep(4);
+    ASSERT_EQ(ref.numRows(), 2u);
+    const MatrixResult& g = got.matrix();
+    const MatrixResult& r = ref.matrix();
+    ASSERT_EQ(g.results.size(), r.results.size());
+    for (size_t i = 0; i < r.results.size(); ++i)
+        EXPECT_EQ(g.results[i].cycles, r.results[i].cycles);
+    EXPECT_EQ(g.aggregateStats().all(), r.aggregateStats().all());
 }
 
 TEST_F(MatrixDeterminism, RowDependentConfigsAndGsSets)
 {
-    std::vector<std::unordered_set<PC>> gsSets;
-    for (const Trace& t : traces)
-        gsSets.push_back(inspectLoads(t).globalStablePcs());
-    std::vector<const std::unordered_set<PC>*> gs;
-    for (const auto& s : gsSets)
-        gs.push_back(&s);
-
-    std::vector<ConfigFactory> configs = {
-        [](size_t) { return SystemConfig { CoreConfig{}, mechFor("baseline") }; },
-        [&](size_t row) {
-            return SystemConfig { CoreConfig{},
-                                  mechFor("eves+ideal-constable", &gsSets[row]) };
-        },
+    // The oracle column reads each row's own global-stable set, and the
+    // inspected suite attaches the same sets as stats-classification sets.
+    auto sweep = [&](unsigned threads) {
+        return Experiment("oracle-det", *suite, optsAt(threads))
+            .add("baseline", mechFor("baseline"))
+            .add("oracle",
+                 [&](size_t row) {
+                     return SystemConfig {
+                         CoreConfig{},
+                         mechFor("eves+ideal-constable",
+                                 &suite->globalStablePcs(row)) };
+                 })
+            .run();
     };
-
-    BatchOptions serial;
-    serial.threads = 1;
-    MatrixResult ref = runMatrix(tracePtrs, configs, gs, serial);
-    BatchOptions par;
-    par.threads = 4;
-    MatrixResult got = runMatrix(tracePtrs, configs, gs, par);
-    EXPECT_EQ(got.aggregateStats().all(), ref.aggregateStats().all());
+    ExperimentResult ref = sweep(1);
+    ExperimentResult got = sweep(4);
+    EXPECT_EQ(got.matrix().aggregateStats().all(),
+              ref.matrix().aggregateStats().all());
     // The oracle must not lose to the baseline on its own stable set.
-    EXPECT_GE(speedup(ref.at(0, 1), ref.at(0, 0)), 0.9);
+    EXPECT_GE(speedup(ref.at(0, "oracle"), ref.at(0, "baseline")), 0.9);
 }
 
 TEST(Matrix, SpeedupsOverShape)
 {
     auto specs = smokeSuite(1000);
     specs.resize(1);
-    Trace t = generateTrace(specs[0]);
-    std::vector<SystemConfig> configs = {
-        { CoreConfig{}, mechFor("baseline") },
-        { CoreConfig{}, mechFor("constable") },
-    };
-    BatchOptions opts;
+    ExperimentOptions opts;
     opts.threads = 1;
-    MatrixResult m = runMatrix({ &t }, configs, {}, opts);
+    opts.progressSec = 0;
+    Suite suite = Suite::fromSpecs(specs, opts, /*inspect=*/false);
+    ExperimentResult res = Experiment("shape", suite, opts)
+                               .add("baseline", mechFor("baseline"))
+                               .add("constable", mechFor("constable"))
+                               .run();
+    const MatrixResult& m = res.matrix();
     EXPECT_EQ(m.numRows, 1u);
     EXPECT_EQ(m.numConfigs, 2u);
     auto s = m.speedupsOver(1, 0);
