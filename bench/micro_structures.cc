@@ -4,7 +4,8 @@
  * models (SLD lookup/train, RMT insert/drain, AMT insert/invalidate, the
  * end-to-end engine rename path) and of the core's in-flight window
  * structures (the ready-bitmap oldest-first select, the store-buffer chunk
- * index, the LB/SB rings), plus the batch pool's per-job dispatch cost.
+ * index, the LB/SB rings, the event wheel), the cost of setting up and
+ * tearing down a core, plus the batch pool's per-job dispatch cost.
  * These gauge simulator throughput (not hardware latency) so regressions in
  * the model's hot paths surface.
  */
@@ -14,7 +15,10 @@
 #include "common/flat.hh"
 #include "common/rng.hh"
 #include "core/constable.hh"
+#include "cpu/core.hh"
 #include "sim/batch.hh"
+#include "sim/mechanisms.hh"
+#include "workloads/suite.hh"
 
 namespace constable {
 namespace {
@@ -214,6 +218,49 @@ BM_RingPushPop(benchmark::State& state)
     }
 }
 BENCHMARK(BM_RingPushPop);
+
+/** Event wheel in steady state: each cycle drains its bucket, and every
+ *  drained event schedules a successor (mostly 1-6 cycles out, a quarter
+ *  up to 300), with 32 events pending. items_per_second counts events. */
+void
+BM_EventWheel(benchmark::State& state)
+{
+    EventWheel wheel;
+    wheel.reserve(512);
+    Rng rng(3);
+    auto delay = [&rng] {
+        return 1 + (rng.below(4) == 0 ? rng.below(300) : rng.below(6));
+    };
+    Cycle now = 0;
+    for (int i = 0; i < 32; ++i)
+        wheel.push(delay(), Event{ 0, i, EventKind::ExecDone });
+    int64_t handled = 0;
+    for (auto _ : state) {
+        ++now;
+        wheel.drain(now, [&](const Event& ev) {
+            ++handled;
+            wheel.push(now + delay(), ev);
+        });
+    }
+    state.SetItemsProcessed(handled);
+}
+BENCHMARK(BM_EventWheel);
+
+/** Construct and destroy a default core over a 20k-op trace: slot and
+ *  ring sizing, the L2/LLC footprint warm-up, mechanism attach, and the
+ *  tag arrays' trip through the per-thread pool. */
+void
+BM_CoreSetup(benchmark::State& state)
+{
+    Trace trace = generateTrace(smokeSuite(20'000)[0]);
+    const CoreConfig core;
+    const MechanismConfig mech = mechFor("baseline");
+    for (auto _ : state) {
+        OooCore sim(core, mech, { &trace });
+        benchmark::DoNotOptimize(sim.sampleCursor());
+    }
+}
+BENCHMARK(BM_CoreSetup)->Unit(benchmark::kMicrosecond);
 
 /** Batch-pool dispatch: 1024 empty jobs per ThreadPool::run on a pool of
  *  range(0) workers (the caller included). time_per_job is the claim,

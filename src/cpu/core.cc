@@ -52,6 +52,7 @@ OooCore::OooCore(const CoreConfig& core_cfg, const MechanismConfig& mech_cfg,
         t.recentOps.reserve(32);
     }
     blockedLoads.reserve(64);
+    wheel.reserve(slots.size());
 
     // Warm L2/LLC with the trace footprint (memory-state snapshot), in
     // first-touch order. Repeated warmLine() calls on a present line are

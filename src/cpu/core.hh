@@ -117,6 +117,8 @@ class OooCore : private CoreState
     // cpu/schedule.cc
     void issueStage();
     void handleEvent(int slot, uint64_t gen, EventKind kind);
+    /** Dispatch the current cycle's wheel bucket in scheduling order. */
+    void drainEvents();
     void tryFastForward();
 
     // cpu/mem_pipe.cc

@@ -202,11 +202,139 @@ struct ThreadCtx
     }
 };
 
+/** A scheduled event for the op in @c slot at generation @c gen. */
 struct Event
 {
-    int slot;
     uint64_t gen;
+    int slot;
     EventKind kind;
+};
+
+/**
+ * Hashed timing wheel (Varghese & Lauck, SOSP'87) over kEventWheelSize
+ * one-cycle buckets. Each bucket is a FIFO list threaded through one node
+ * slab, and drained nodes go back on a free list, so once the slab is
+ * reserved the wheel schedules and drains without allocating; it grows
+ * only when more events are pending than were reserved. An occupancy
+ * bitmap lets nextDelay() find the next populated bucket with a handful of
+ * word scans.
+ */
+class EventWheel
+{
+  public:
+    void reserve(size_t nodes) { slab_.reserve(nodes); }
+
+    /** Append @p ev to the bucket of cycle @p when (FIFO within it). */
+    void
+    push(Cycle when, const Event& ev)
+    {
+        unsigned idx = static_cast<unsigned>(when % kEventWheelSize);
+        int32_t n = free_;
+        if (n >= 0) {
+            free_ = slab_[n].next;
+            slab_[n] = Node{ ev, -1 };
+        } else {
+            n = static_cast<int32_t>(slab_.size());
+            slab_.push_back(Node{ ev, -1 });
+        }
+        Bucket& b = buckets_[idx];
+        if (b.tail >= 0)
+            slab_[b.tail].next = n;
+        else
+            b.head = n;
+        b.tail = n;
+        occupied_[idx / 64] |= 1ull << (idx % 64);
+        ++pending_;
+    }
+
+    /** Hand every event of cycle @p now's bucket to @p handle, in the
+     *  order they were pushed. @p handle may push to any other bucket. */
+    template <typename F>
+    void
+    drain(Cycle now, F&& handle)
+    {
+        unsigned idx = static_cast<unsigned>(now % kEventWheelSize);
+        Bucket& b = buckets_[idx];
+        if (b.head < 0)
+            return;
+        CONSTABLE_ASSERT((occupied_[idx / 64] >> (idx % 64)) & 1,
+                         "draining a populated wheel bucket whose "
+                         "occupancy bit is clear");
+        // Detach the list first. A node goes back on the free list before
+        // its event is handled (the event is copied out), so the handler
+        // may reuse it at once.
+        int32_t n = b.head;
+        b = Bucket{};
+        occupied_[idx / 64] &= ~(1ull << (idx % 64));
+        while (n >= 0) {
+            CONSTABLE_ASSERT(pending_ > 0,
+                             "wheel bucket holds more events than the "
+                             "global pending count");
+            --pending_;
+            Node& node = slab_[n];
+            Event ev = node.ev;
+            int32_t next = node.next;
+            node.next = free_;
+            free_ = n;
+            handle(ev);
+            n = next;
+        }
+    }
+
+    /** Smallest delay d >= 1 from @p now with a populated bucket; 0 when
+     *  the wheel is empty. The current bucket is always drained, so a set
+     *  bit is never at delay 0. */
+    unsigned
+    nextDelay(Cycle now) const
+    {
+        if (pending_ == 0)
+            return 0;
+        constexpr unsigned kWords = kEventWheelSize / 64;
+        unsigned cur = static_cast<unsigned>(now % kEventWheelSize);
+        unsigned s0 = (cur + 1) % kEventWheelSize;
+        unsigned found = kEventWheelSize;
+        uint64_t head = occupied_[s0 / 64] & (~0ull << (s0 % 64));
+        if (head != 0) {
+            found = (s0 / 64) * 64 +
+                    static_cast<unsigned>(std::countr_zero(head));
+        } else {
+            for (unsigned i = 1; i <= kWords; ++i) {
+                unsigned w = (s0 / 64 + i) % kWords;
+                uint64_t bits = occupied_[w];
+                if (w == s0 / 64) // wrapped: only bits below the start count
+                    bits &= (s0 % 64) ? ((1ull << (s0 % 64)) - 1) : 0;
+                if (bits != 0) {
+                    found = w * 64 +
+                            static_cast<unsigned>(std::countr_zero(bits));
+                    break;
+                }
+            }
+        }
+        CONSTABLE_ASSERT(found != kEventWheelSize,
+                         "events are pending but the occupancy bitmap has "
+                         "no set bit: wheel and bitmap disagree");
+        return (found + kEventWheelSize - cur) % kEventWheelSize;
+    }
+
+  private:
+    /** A slab node: an event and the next node of its bucket or of the
+     *  free list; -1 ends a list. */
+    struct Node
+    {
+        Event ev;
+        int32_t next;
+    };
+    struct Bucket
+    {
+        int32_t head = -1;
+        int32_t tail = -1;
+    };
+
+    std::vector<Node> slab_;
+    int32_t free_ = -1;
+    std::array<Bucket, kEventWheelSize> buckets_ {};
+    std::array<uint64_t, kEventWheelSize / 64> occupied_ {};
+    uint64_t pending_ = 0;
 };
 
 /** Shared core state; see file header. Construction and the run loop live
@@ -252,13 +380,10 @@ struct CoreState
      *  loadPorts / occupancy, age-fair across cycles). */
     unsigned loadTokens = 0;
 
-    /** Flat event wheel: one recycled slab per future cycle (clear() keeps
-     *  capacity, so steady state schedules without allocating), plus an
-     *  occupancy bitmap so the idle-cycle fast-forward finds the next
-     *  populated bucket with a handful of word scans. */
-    std::array<std::vector<Event>, kEventWheelSize> wheel;
-    std::array<uint64_t, kEventWheelSize / 64> wheelOccupied {};
-    uint64_t pendingEvents = 0;
+    /** Pending events by cycle. The constructor reserves one slab node
+     *  per slot; fig11, fig14 and fig20 over 20 traces of 20k ops peak
+     *  at 7% of that. */
+    EventWheel wheel;
 
     // ---------------------------------------------------------- statistics
     Histogram sldUpdateHist { { 1, 2, 3, 4 } };
@@ -343,46 +468,11 @@ struct CoreState
             delay = 1;
         if (delay >= kEventWheelSize)
             delay = kEventWheelSize - 1;
-        unsigned idx = (now + delay) % kEventWheelSize;
-        wheel[idx].push_back(Event{ slot, slots[slot].gen, kind });
-        wheelOccupied[idx / 64] |= 1ull << (idx % 64);
-        ++pendingEvents;
+        wheel.push(now + delay, Event{ slots[slot].gen, slot, kind });
     }
 
-    /** Smallest delay d >= 1 with a populated wheel bucket; 0 when the
-     *  wheel is empty. The current bucket is always drained, so a set bit
-     *  is never at delay 0. */
-    unsigned
-    nextEventDelay() const
-    {
-        if (pendingEvents == 0)
-            return 0;
-        constexpr unsigned kWords = kEventWheelSize / 64;
-        unsigned cur = static_cast<unsigned>(now % kEventWheelSize);
-        unsigned s0 = (cur + 1) % kEventWheelSize;
-        unsigned found = kEventWheelSize;
-        uint64_t head = wheelOccupied[s0 / 64] & (~0ull << (s0 % 64));
-        if (head != 0) {
-            found = (s0 / 64) * 64 +
-                    static_cast<unsigned>(std::countr_zero(head));
-        } else {
-            for (unsigned i = 1; i <= kWords; ++i) {
-                unsigned w = (s0 / 64 + i) % kWords;
-                uint64_t bits = wheelOccupied[w];
-                if (w == s0 / 64) // wrapped: only bits below the start count
-                    bits &= (s0 % 64) ? ((1ull << (s0 % 64)) - 1) : 0;
-                if (bits != 0) {
-                    found = w * 64 +
-                            static_cast<unsigned>(std::countr_zero(bits));
-                    break;
-                }
-            }
-        }
-        CONSTABLE_ASSERT(found != kEventWheelSize,
-                         "pendingEvents != 0 but the occupancy bitmap has "
-                         "no set bit: wheel and bitmap disagree");
-        return (found + kEventWheelSize - cur) % kEventWheelSize;
-    }
+    /** Smallest delay d >= 1 with a pending event; 0 when none is. */
+    unsigned nextEventDelay() const { return wheel.nextDelay(now); }
 
     PortType
     portOf(const InFlight& e) const

@@ -135,6 +135,14 @@ OooCore::handleEvent(int slot, uint64_t gen, EventKind kind)
     }
 }
 
+void
+OooCore::drainEvents()
+{
+    wheel.drain(now, [this](const Event& ev) {
+        handleEvent(ev.slot, ev.gen, ev.kind);
+    });
+}
+
 /**
  * Idle-cycle fast-forward: when the next cycle provably does nothing but
  * bump per-cycle stall counters -- no event due, nothing ready to issue,
@@ -248,27 +256,7 @@ OooCore::run()
     while (!allDone && now < cfg.maxCycles) {
         tryFastForward();
         ++now;
-        auto& events = wheel[now % kWheelSize];
-        if (!events.empty()) {
-            // Recycled slab: drain in place (schedule() can never target
-            // the live bucket -- delays are clamped to [1, kWheelSize-1])
-            // and clear() keeps the capacity for the next lap.
-            size_t n = events.size();
-            unsigned idx = static_cast<unsigned>(now % kWheelSize);
-            CONSTABLE_ASSERT((wheelOccupied[idx / 64] >> (idx % 64)) & 1,
-                             "draining a populated wheel bucket whose "
-                             "occupancy bit is clear");
-            CONSTABLE_ASSERT(pendingEvents >= n,
-                             "wheel bucket holds more events than the "
-                             "global pending count");
-            pendingEvents -= n;
-            wheelOccupied[idx / 64] &= ~(1ull << (idx % 64));
-            for (size_t i = 0; i < n; ++i) {
-                Event ev = events[i];
-                handleEvent(ev.slot, ev.gen, ev.kind);
-            }
-            events.clear();
-        }
+        drainEvents();
         checkBlockedLoads();
         retireStage();
         issueStage();

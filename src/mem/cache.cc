@@ -1,7 +1,9 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace constable {
@@ -15,39 +17,54 @@ constexpr size_t kMaxPooledArrays = 6;
 
 } // namespace
 
-std::vector<std::vector<Cache::Line>>&
-Cache::linePool()
+std::vector<Cache::TagArray>&
+Cache::arrayPool()
 {
-    thread_local std::vector<std::vector<Line>> pool;
+    thread_local std::vector<TagArray> pool;
     return pool;
 }
 
-std::vector<Cache::Line>
-Cache::acquireLines(size_t n)
+Cache::TagArray
+Cache::acquireArray(size_t n)
 {
-    auto& pool = linePool();
-    for (size_t i = 0; i < pool.size(); ++i) {
-        if (pool[i].capacity() >= n) {
-            std::vector<Line> v = std::move(pool[i]);
-            pool[i] = std::move(pool.back());
-            pool.pop_back();
-            // Value-reset every line: bit-identical starting state to a
-            // freshly value-initialized vector (golden snapshot guarded).
-            v.assign(n, Line{});
-            return v;
+    auto& pool = arrayPool();
+    // Most recently released first: the pool stays ordered by last use.
+    for (size_t i = pool.size(); i-- > 0;) {
+        if (pool[i].lines.size() == n) {
+            TagArray a = std::move(pool[i]);
+            pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+            CONSTABLE_DCHECK(
+                std::all_of(a.lines.begin(), a.lines.end(),
+                            [](const Line& l) { return l == Line{}; }) &&
+                    std::all_of(a.filledSets.begin(), a.filledSets.end(),
+                                [](uint64_t w) { return w == 0; }),
+                "pooled tag array is not entirely reset");
+            return a;
         }
     }
-    return std::vector<Line>(n);
+    return TagArray{ std::vector<Line>(n),
+                     std::vector<uint64_t>((n + 63) / 64) };
 }
 
 void
-Cache::releaseLines(std::vector<Line>&& v)
+Cache::releaseArray()
 {
-    auto& pool = linePool();
-    if (v.capacity() == 0 || pool.size() >= kMaxPooledArrays)
-        return; // dropped: freed normally
-    v.clear();
-    pool.push_back(std::move(v));
+    if (lines.empty())
+        return; // moved from
+    // Reset the sets insert() filled; every other line is still Line{}.
+    for (size_t w = 0; w < filledSets.size(); ++w) {
+        for (uint64_t bits = filledSets[w]; bits != 0; bits &= bits - 1) {
+            size_t set = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+            std::fill_n(lines.begin() +
+                            static_cast<std::ptrdiff_t>(set * cfg.ways),
+                        cfg.ways, Line{});
+        }
+        filledSets[w] = 0;
+    }
+    auto& pool = arrayPool();
+    if (pool.size() >= kMaxPooledArrays)
+        pool.erase(pool.begin()); // the least recently released
+    pool.push_back(TagArray{ std::move(lines), std::move(filledSets) });
 }
 
 Cache::Cache(const CacheConfig& cache_cfg) : cfg(cache_cfg)
@@ -59,12 +76,14 @@ Cache::Cache(const CacheConfig& cache_cfg) : cfg(cache_cfg)
     if (!std::has_single_bit(sets))
         fatal("Cache " + cfg.name + ": set count must be a power of two");
     setShift = static_cast<unsigned>(std::countr_zero(sets));
-    lines = acquireLines(numLines);
+    TagArray a = acquireArray(numLines);
+    lines = std::move(a.lines);
+    filledSets = std::move(a.filledSets);
 }
 
 Cache::~Cache()
 {
-    releaseLines(std::move(lines));
+    releaseArray();
 }
 
 bool
@@ -143,6 +162,7 @@ Cache::insert(Addr line, bool is_write, bool from_prefetch)
             return;
         }
     }
+    filledSets[set / 64] |= 1ull << (set % 64);
     unsigned w = victimWay(set);
     Line& l = lines[set * cfg.ways + w];
     if (l.valid) {

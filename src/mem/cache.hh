@@ -47,13 +47,14 @@ class Cache
     explicit Cache(const CacheConfig& cfg);
     ~Cache();
 
-    /** The backing tag array is recycled through a per-thread pool across
-     *  Cache lifetimes (a batch worker constructs three arrays per
-     *  simulated run; reusing the allocations keeps construction out of
-     *  the sweep profile), so a Cache must be destroyed on the thread
-     *  that created it — true for every runTrace/runSmtPair job. Copies
-     *  would each release into the pool independently, which is safe but
-     *  pointless; moves keep the buffer. */
+    /** The tag array comes from a per-thread pool of arrays that are
+     *  entirely reset (every line Line{}), matched by exact line count,
+     *  and goes back on destruction. Every line that can differ from
+     *  Line{} got there through insert(), which records its set; the
+     *  destructor resets only those sets, so a cell pays for the sets it
+     *  filled, not for the array's size. A Cache may be destroyed on any
+     *  thread: its array then joins that thread's pool. Copies are
+     *  deleted; moves keep the array and leave the source empty. */
     Cache(const Cache&) = delete;
     Cache& operator=(const Cache&) = delete;
     Cache(Cache&&) = default;
@@ -85,8 +86,8 @@ class Cache
     uint64_t evictions = 0;
 
   private:
-    /** Packed to 24 bytes: the tag array is value-initialized per run and
-     *  scanned way-by-way, so line size is both memset and probe cost. */
+    /** Packed to 24 bytes: the tag array is scanned way-by-way, so line
+     *  size is probe cost. */
     struct Line
     {
         Addr tag = 0;
@@ -94,22 +95,36 @@ class Cache
         uint8_t rrpv = 3;     ///< re-reference prediction value (RRIP)
         bool valid = false;
         bool dirty = false;
+
+        bool operator==(const Line&) const = default;
+    };
+
+    /** A pooled tag array and its set bitmap, both entirely reset. The
+     *  bitmap has a bit per line, enough for any geometry of that line
+     *  count. */
+    struct TagArray
+    {
+        std::vector<Line> lines;
+        std::vector<uint64_t> filledSets;
     };
 
     unsigned setIndex(Addr line) const { return line & (sets - 1); }
     Addr tagOf(Addr line) const { return line >> setShift; }
     unsigned victimWay(unsigned set);
 
-    /** Per-thread recycled tag-array storage (see the dtor note above). */
-    static std::vector<std::vector<Line>>& linePool();
-    static std::vector<Line> acquireLines(size_t n);
-    static void releaseLines(std::vector<Line>&& v);
+    /** Per-thread pool of reset arrays (see the note above). */
+    static std::vector<TagArray>& arrayPool();
+    static TagArray acquireArray(size_t n);
+    void releaseArray();
 
     CacheConfig cfg;
     unsigned sets;
     unsigned setShift;
     uint64_t stamp = 0;
     std::vector<Line> lines;   ///< sets * ways, row-major
+    /** One bit per set that insert() has filled since the array was
+     *  acquired: the sets the destructor resets. */
+    std::vector<uint64_t> filledSets;
     EvictHook evictHook;
 };
 

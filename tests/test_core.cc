@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "inspector/load_inspector.hh"
 #include "sim/batch.hh"
 #include "sim/mechanisms.hh"
@@ -338,6 +340,31 @@ TEST(Runner, GlobalPoolCoversAllIndices)
     ThreadPool::global().run(64, [&](size_t i) { hits[i]++; });
     for (auto& h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Runner, CellResultIndependentOfPreviousCell)
+{
+    // Cores draw their cache tag arrays from a per-thread pool. A cell
+    // must read the same result whatever ran on its thread before it:
+    // after other geometries of work, and on a thread that ran nothing.
+    Trace a = smokeTrace(2, 8'000);
+    Trace b = smokeTrace(4, 8'000);
+    auto fingerprintOf = [](const RunResult& r) {
+        return MatrixResult{ 1, 1, { r } }.fingerprint();
+    };
+    const SystemConfig cfgA { CoreConfig{}, mechFor("constable") };
+    auto cellA = [&] { return fingerprintOf(runTrace(a, cfgA)); };
+
+    uint64_t first = cellA();
+    CoreConfig deep;
+    deep.depthScale = 3;
+    runTrace(b, { deep, mechFor("eves") });
+    runSmtPair(b, a, { CoreConfig{}, mechFor("eves+constable") });
+    EXPECT_EQ(cellA(), first) << "after a depth-scaled core and an SMT pair";
+
+    uint64_t freshThread = 0;
+    std::thread([&] { freshThread = cellA(); }).join();
+    EXPECT_EQ(freshThread, first) << "on a thread with an empty pool";
 }
 
 TEST(Runner, PresetsSelectMechanisms)

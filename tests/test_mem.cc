@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/directory.hh"
 #include "mem/dram.hh"
@@ -102,6 +107,108 @@ TEST(Cache, RripPrefetchInsertsEvictFirst)
     c.insert(2 * sets, false);             // evicts the prefetch
     EXPECT_TRUE(c.contains(0 * sets));
     EXPECT_FALSE(c.contains(1 * sets));
+}
+
+CacheConfig
+cache64K(unsigned ways, ReplPolicy pol)
+{
+    CacheConfig c;
+    c.name = "c64k";
+    c.sizeKB = 64;
+    c.ways = ways;
+    c.policy = pol;
+    return c;
+}
+
+/** What a cache reports over an access sequence. */
+struct CacheOutcome
+{
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    std::vector<std::pair<Addr, bool>> evicted; ///< evict-hook calls
+};
+
+/** A seeded mix of lookups, demand and prefetch inserts and invalidations
+ *  over four times the cache's line count. One step in ten empties a
+ *  set and refills part of it. With @p prefetch_only_odd_sets, demand
+ *  inserts go to even sets only, so odd sets are filled by prefetches
+ *  alone. */
+CacheOutcome
+churn(Cache& c, uint64_t seed, size_t steps, bool prefetch_only_odd_sets)
+{
+    CacheOutcome out;
+    c.setEvictHook([&out](Addr line, bool dirty) {
+        out.evicted.push_back({ line, dirty });
+    });
+    const Addr sets = c.numSets();
+    const Addr span = 4 * sets * c.config().ways;
+    Rng rng(seed);
+    for (size_t i = 0; i < steps; ++i) {
+        Addr line = rng.below(span);
+        bool write = rng.below(4) == 0;
+        switch (rng.below(10)) {
+          case 0: case 1: case 2: case 3:
+            c.lookup(line, write);
+            break;
+          case 4: case 5:
+            if (prefetch_only_odd_sets)
+                line &= ~Addr{ 1 };
+            c.insert(line, write);
+            break;
+          case 6: case 7:
+            c.insert(line, write, /*from_prefetch=*/true);
+            break;
+          case 8:
+            c.invalidate(line);
+            break;
+          default: {
+            Addr set = line % sets;
+            for (Addr tag = 0; tag < span / sets; ++tag)
+                c.invalidate(tag * sets + set);
+            for (unsigned k = 0; k < c.config().ways / 2; ++k)
+                c.insert(rng.below(span / sets) * sets + set, write,
+                         k % 2 == 1 ||
+                             (prefetch_only_odd_sets && set % 2 == 1));
+            break;
+          }
+        }
+    }
+    out.hits = c.hits;
+    out.misses = c.misses;
+    out.evictions = c.evictions;
+    return out;
+}
+
+TEST(Cache, RecycledArrayMatchesFresh)
+{
+    // A cache's tag array goes back to this thread's pool when it dies and
+    // must come back indistinguishable from a new one, whatever geometry
+    // takes it next.
+    for (ReplPolicy pol : { ReplPolicy::LRU, ReplPolicy::RRIP }) {
+        {
+            Cache dirty(cache64K(8, pol));
+            CacheOutcome first = churn(dirty, 11, 40'000, true);
+            ASSERT_GT(first.evictions, 0u);
+        }
+        // The most recently released array of this line count: the one
+        // the churn above filled.
+        Cache recycled(cache64K(16, pol));
+        CacheOutcome got = churn(recycled, 23, 40'000, false);
+        CacheOutcome want;
+        // A new thread's pool is empty: a freshly allocated array.
+        std::thread([&want, pol] {
+            Cache fresh(cache64K(16, pol));
+            want = churn(fresh, 23, 40'000, false);
+        }).join();
+        EXPECT_GT(want.evictions, 0u);
+        EXPECT_EQ(got.hits, want.hits);
+        EXPECT_EQ(got.misses, want.misses);
+        EXPECT_EQ(got.evictions, want.evictions);
+        EXPECT_TRUE(got.evicted == want.evicted)
+            << "evict-hook sequences differ (" << got.evicted.size()
+            << " vs " << want.evicted.size() << " calls)";
+    }
 }
 
 TEST(Prefetch, StrideDetectsAfterTraining)
