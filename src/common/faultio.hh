@@ -4,7 +4,7 @@
  * robustness proof-layer behind `tools/constable-faultsweep`.
  *
  * Each I/O call site (atomic writes, lease create/heartbeat/release,
- * checkpoint and trace-cache reads/writes, fleet calibration persistence)
+ * checkpoint and trace-cache reads/writes, sweep manifests)
  * names a *fault point* from the central registry (faultPointTable()) and
  * asks faultFailed() whether an armed FaultPlan wants to inject a failure
  * there. With no plan armed — the production and CI-perf configuration —

@@ -1,8 +1,8 @@
 /**
  * @file
- * The one JSON codec: obs metrics, the Perfetto trace, status.json,
- * BENCH_perf.json and the shard cost model read from it all go through
- * this writer and reader.
+ * The one JSON codec: obs metrics, the Perfetto trace, status.json and
+ * perf_regression's report and baseline all go through this writer and
+ * reader.
  *
  * parseJson is strict: exactly the RFC 8259 grammar, nesting capped at
  * kJsonMaxDepth, numbers a double cannot hold rejected. Any malformed

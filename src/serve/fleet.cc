@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <queue>
-#include <system_error>
 
-#include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 #include "common/rng.hh"
@@ -43,97 +40,6 @@ fingerprintBox(ByteWriter& b, const BoxWhisker& w)
     b.f64(w.whiskerHi);
     b.f64(w.meanVal);
     b.u64(w.n);
-}
-
-// ----------------------------------------------- calibration cache
-//
-// Verification-only persistence of the fleet calibration sweep: the
-// calibration is always recomputed (it is cheap next to the sweep and
-// must stay the single source of truth), then checked against the cached
-// copy keyed by the sweep's matrix fingerprint. A stale or corrupt cache
-// file is quarantined and rewritten; a failed write degrades to a
-// warning. Report fingerprints and stdout never depend on the cache.
-
-constexpr uint64_t kCalibMagic = 0x4c434643ull; // "CFCL"
-/** 2: mechanism names are ByteWriter strings (u32 length prefix). */
-constexpr uint64_t kCalibVersion = 2;
-
-std::vector<uint8_t>
-encodeCalibCache(uint64_t fp, const std::vector<MachineCalibration>& calib)
-{
-    ByteWriter w;
-    w.u64(kCalibMagic);
-    w.u64(kCalibVersion);
-    w.u64(fp);
-    w.u64(calib.size());
-    for (const MachineCalibration& c : calib) {
-        w.str(c.mech);
-        w.f64(c.cyclesPerOp);
-        w.f64(c.pjPerOp);
-    }
-    w.sealChecksum();
-    return w.take();
-}
-
-bool
-decodeCalibCache(const std::vector<uint8_t>& bytes, uint64_t& fp,
-                 std::vector<MachineCalibration>& out)
-{
-    size_t payload;
-    if (!checkedPayload(bytes.data(), bytes.size(), payload))
-        return false;
-    ByteReader r(bytes.data(), payload);
-    uint64_t magic, version, count;
-    if (!r.u64(magic) || magic != kCalibMagic || !r.u64(version) ||
-        version != kCalibVersion || !r.u64(fp) || !r.u64(count))
-        return false;
-    out.clear();
-    for (uint64_t i = 0; i < count; ++i) {
-        MachineCalibration c;
-        if (!r.str(c.mech) || !r.f64(c.cyclesPerOp) || !r.f64(c.pjPerOp))
-            return false;
-        out.push_back(std::move(c));
-    }
-    return r.remaining() == 0;
-}
-
-void
-verifyCalibCache(const std::string& dir, const Scenario& sc,
-                 const SampleOptions& sample,
-                 const std::vector<MachineCalibration>& calib, uint64_t fp)
-{
-    // Sampled and full-fidelity calibrations have different fingerprints
-    // by design; keying the cache file on the sample spec lets the two
-    // coexist instead of quarantining each other on every mode switch.
-    std::string file = "fleet-" + sanitizeFileName(sc.name);
-    if (sample.enabled)
-        file.append("-").append(sanitizeFileName(sample.spec()));
-    file += ".calib";
-    std::string path = dir + "/" + file;
-    std::vector<uint8_t> bytes;
-    static ObsCounter& cacheHits = obsCounter("fleet.calib.cache_hit");
-    static ObsCounter& cacheMisses = obsCounter("fleet.calib.cache_miss");
-    if (!faultFailed("fleet.calib.read") && readFileBytes(path, bytes)) {
-        uint64_t cachedFp = 0;
-        std::vector<MachineCalibration> cached;
-        if (decodeCalibCache(bytes, cachedFp, cached) && cachedFp == fp) {
-            cacheHits.add();
-            inform("fleet calibration for '" + sc.name +
-                   "' matches its cached copy (fingerprint verified)");
-            return;
-        }
-        std::error_code ec;
-        std::filesystem::create_directories(dir + "/quarantine", ec);
-        std::filesystem::rename(path, dir + "/quarantine/" + file, ec);
-        warn("cached fleet calibration '" + path +
-             "' is stale or corrupt; quarantined and rewritten");
-    }
-    cacheMisses.add();
-    if (faultFailed("fleet.calib.write") ||
-        !writeFileAtomic(path, encodeCalibCache(fp, calib))) {
-        warn("cannot persist fleet calibration cache '" + path +
-             "'; continuing without it");
-    }
 }
 
 } // namespace
@@ -444,7 +350,7 @@ runFleetScenario(const Scenario& sc, ExperimentOptions opts)
     uint64_t calibFp = 0;
     size_t resumed = 0;
     {
-        ObsSpan calibSpan("fleet.calibrate", "fleet");
+        ObsSpan calibSpan("fleet.sweep", "fleet");
         Suite suite = Suite::prepare(opts, /*inspect=*/true);
         Experiment exp("fleet-" + sc.name, suite, opts);
         std::vector<std::string> added;
@@ -460,9 +366,6 @@ runFleetScenario(const Scenario& sc, ExperimentOptions opts)
         calibFp = res.matrix().fingerprint();
         resumed = res.resumedCells();
     }
-    if (!opts.checkpointDir.empty())
-        verifyCalibCache(opts.checkpointDir, sc, opts.sample, calib,
-                         calibFp);
 
     FleetReport rep = simulateFleet(sc, calib);
     rep.calibFingerprint = calibFp;

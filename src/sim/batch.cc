@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hh"
 #include "common/obs.hh"
 #include "trace/serialize.hh"
 
@@ -149,19 +148,6 @@ dispatch(size_t n, const BatchOptions& opts,
 }
 
 } // namespace
-
-BatchOptions
-batchOptionsFromEnv()
-{
-    BatchOptions opts;
-    if (auto v = envU64("CONSTABLE_THREADS")) {
-        opts.threads = static_cast<unsigned>(
-            std::min<uint64_t>(*v, ThreadPool::kMaxConcurrency));
-    }
-    if (auto v = envU64("CONSTABLE_SEED"))
-        opts.seed = *v;
-    return opts;
-}
 
 void
 forEachJob(size_t n, const std::function<void(size_t, Rng&)>& fn,

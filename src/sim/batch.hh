@@ -93,11 +93,6 @@ struct BatchOptions
     uint64_t seed = 0x5eed5eedull;
 };
 
-/** Options from env: CONSTABLE_THREADS (0 = hardware, 1 = serial) and
- *  CONSTABLE_SEED. Benches use this so sweeps can be replayed serially to
- *  confirm thread-count independence. */
-BatchOptions batchOptionsFromEnv();
-
 /**
  * Run fn(job, rng) for job in [0, n). The rng argument is seeded from
  * (opts.seed, job) only, never from the executing worker, so results are

@@ -69,9 +69,6 @@ printUsage(const char* prog, int exit_code)
         "seconds\n"
         "  --shard-poll-ms=N   poll interval while waiting on other "
         "shards\n"
-        "  --cost-model=PATH   prior BENCH_perf.json; sharded workers "
-        "claim the\n                      most expensive remaining cells "
-        "first\n"
         "  --mech=NAME[,NAME...]  run these registry presets instead of "
         "the\n                      bench's compiled-in figure\n"
         "  --scenario=FILE     run a declarative scenario file (see "
@@ -95,7 +92,7 @@ printUsage(const char* prog, int exit_code)
         "CONSTABLE_CHECKPOINT_DIR,\nCONSTABLE_TRACE_CACHE_MAX_MB, "
         "CONSTABLE_TRACE_CACHE_MAX_AGE_DAYS,\nCONSTABLE_SHARDS, "
         "CONSTABLE_SHARD_ID, CONSTABLE_LEASE_TTL_SEC,\n"
-        "CONSTABLE_SHARD_POLL_MS, CONSTABLE_COST_MODEL, CONSTABLE_MECH,\n"
+        "CONSTABLE_SHARD_POLL_MS, CONSTABLE_MECH,\n"
         "CONSTABLE_SCENARIO, CONSTABLE_SAMPLE, CONSTABLE_FAULT_PLAN, "
         "CONSTABLE_FAULT_MARKER_DIR,\nCONSTABLE_FAULT_SEED, "
         "CONSTABLE_TRACE_OUT, CONSTABLE_METRICS_OUT,\n"
@@ -119,7 +116,11 @@ ExperimentOptions::fromEnv()
     }
     if (auto v = envU64("CONSTABLE_SEED"))
         opts.seed = *v;
-    opts.traceOps = defaultTraceOps(); // strict-parses CONSTABLE_TRACE_OPS
+    if (auto v = envU64("CONSTABLE_TRACE_OPS")) {
+        if (*v == 0)
+            fatal("CONSTABLE_TRACE_OPS must be >= 1");
+        opts.traceOps = static_cast<size_t>(*v);
+    }
     if (auto v = envU64("CONSTABLE_SUITE_LIMIT")) {
         if (*v == 0)
             fatal("CONSTABLE_SUITE_LIMIT must be >= 1");
@@ -143,8 +144,6 @@ ExperimentOptions::fromEnv()
         opts.leaseTtlSec = static_cast<unsigned>(*v);
     if (auto v = envU64InRange("CONSTABLE_SHARD_POLL_MS", 1, 60'000))
         opts.shardPollMs = static_cast<unsigned>(*v);
-    if (auto v = envStr("CONSTABLE_COST_MODEL"))
-        opts.costModelPath = *v;
     if (auto v = envStr("CONSTABLE_MECH"))
         appendMechNames("CONSTABLE_MECH", *v, opts.mechNames);
     if (auto v = envStr("CONSTABLE_SCENARIO"))
@@ -232,8 +231,6 @@ ExperimentOptions::fromArgs(int argc, char** argv)
         } else if (flag == "--shard-poll-ms") {
             opts.shardPollMs = static_cast<unsigned>(
                 parseU64InRange(flag, val(), 1, 60'000));
-        } else if (flag == "--cost-model") {
-            opts.costModelPath = val();
         } else if (flag == "--mech") {
             if (!mechFromCli) {
                 opts.mechNames.clear();
@@ -294,7 +291,6 @@ ExperimentOptions::shard() const
     s.shardId = shardId;
     s.leaseTtlSec = leaseTtlSec;
     s.pollMs = shardPollMs;
-    s.costModelPath = costModelPath;
     s.batch = batch();
     return s;
 }

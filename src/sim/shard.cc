@@ -9,11 +9,9 @@
 #include <mutex>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
 
 #include "common/check.hh"
 #include "common/faultio.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
 
@@ -155,8 +153,8 @@ guardedLeaseAge(const std::string& path, double ttl, ShardOutcome& outcome)
  * Mean observed per-config compute seconds from the `.cost` sidecars
  * committed next to cell checkpoints (workerPass writes one per computed
  * cell). Resumed or partially complete sweeps thus order claims by what
- * cells of THIS sweep actually cost on THIS machine — strictly better
- * information than any static prior. Empty when no sidecar is readable.
+ * cells of THIS sweep actually cost on THIS machine. Empty when no
+ * sidecar is readable.
  */
 std::vector<double>
 observedConfigCosts(const std::string& root, const SweepManifest& m)
@@ -187,8 +185,8 @@ observedConfigCosts(const std::string& root, const SweepManifest& m)
             ++known;
         }
     }
-    // Configs with no observation yet get the mean observed cost, same
-    // neutral treatment as unknown presets under the static prior.
+    // Configs with no observation yet get the mean observed cost: neither
+    // hoarded first nor starved to the tail.
     double fallback = total / static_cast<double>(known);
     for (size_t c = 0; c < m.numConfigs; ++c) {
         if (cost[c] == 0.0)
@@ -198,15 +196,13 @@ observedConfigCosts(const std::string& root, const SweepManifest& m)
 }
 
 /**
- * The order a worker scans cells for claiming. Default: stride rotation
- * by shard id (freshly launched fleets fan out instead of racing on cell
- * 0). With cost information, the most expensive configs come first --
- * rows ascending within a config -- which shrinks the tail where one
- * worker holds the last big cell while everyone else polls. Observed
- * per-cell wall-clock from this sweep's `.cost` sidecars takes priority;
- * the static `--cost-model` prior (a BENCH_perf.json, cost = 1 / recorded
- * Mops/s) is the fallback for fresh directories. Claim order never
- * affects results (cells are deterministic); only wall-clock.
+ * The order a worker scans cells for claiming. Once this sweep's `.cost`
+ * sidecars exist, the most expensive configs come first -- rows
+ * ascending within a config -- which shrinks the tail where one worker
+ * holds the last big cell while everyone else polls. A fresh directory
+ * has no sidecars: workers then scan in stride rotation by shard id, so a
+ * newly launched fleet fans out instead of racing on cell 0. Claim order
+ * never affects results (cells are deterministic); only wall-clock.
  */
 std::vector<size_t>
 buildClaimOrder(const std::string& root, const SweepManifest& m,
@@ -225,54 +221,6 @@ buildClaimOrder(const std::string& root, const SweepManifest& m,
                                     observed[b % m.numConfigs];
                          });
         return order;
-    }
-
-    if (!opts.costModelPath.empty()) {
-        // Per-preset Mops/s from the top-level "presets" array of a
-        // BENCH_perf.json (the sampled section's entries share names).
-        std::string json;
-        JsonValue doc;
-        const JsonValue* presets = nullptr;
-        if (readFileText(opts.costModelPath, json) && parseJson(json, doc) &&
-            (presets = doc.find("presets"))) {
-            std::unordered_map<std::string, double> mops;
-            for (const JsonValue& e : presets->items) {
-                std::string name;
-                double v;
-                if (e.get("name", name) && e.get("mops_per_sec", v))
-                    mops.emplace(name, v);
-            }
-            std::vector<double> cost(m.numConfigs, 0.0);
-            double sum = 0.0;
-            size_t known = 0;
-            for (size_t c = 0; c < m.numConfigs; ++c) {
-                auto it = mops.find(m.configNames[c]);
-                if (it != mops.end() && it->second > 0.0) {
-                    cost[c] = 1.0 / it->second;
-                    sum += cost[c];
-                    ++known;
-                }
-            }
-            if (known > 0) {
-                // Presets the model has never timed get the mean known
-                // cost: neither hoarded first nor starved to the tail.
-                double fallback = sum / static_cast<double>(known);
-                for (size_t c = 0; c < m.numConfigs; ++c) {
-                    if (cost[c] == 0.0)
-                        cost[c] = fallback;
-                }
-                std::stable_sort(order.begin(), order.end(),
-                                 [&](size_t a, size_t b) {
-                                     return cost[a % m.numConfigs] >
-                                            cost[b % m.numConfigs];
-                                 });
-                return order;
-            }
-        }
-        if (opts.shardId <= 0) {
-            warn("cost model '" + opts.costModelPath +
-                 "' missing or unparsable; claiming cells in stride order");
-        }
     }
 
     if (opts.shardId > 0 && opts.shards > 1) {

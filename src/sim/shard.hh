@@ -66,11 +66,6 @@ struct ShardOptions
      *  <cell>.rr.quarantined beside it) instead of being rewritten
      *  forever. */
     unsigned quarantineAfter = 3;
-    /** Optional cost model (a prior BENCH_perf.json): cells of presets
-     *  with lower recorded Mops/s are claimed first, shrinking the tail
-     *  where one worker holds the last big cell while the rest poll.
-     *  Empty, missing or unparsable files fall back to stride order. */
-    std::string costModelPath;
     /** Thread/seed knobs for cells this process computes itself. */
     BatchOptions batch;
 

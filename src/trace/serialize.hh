@@ -186,8 +186,8 @@ uint64_t fnv1a(const std::string& s);
 
 // -------------------------------------------------------------- byte codec
 
-/** Little-endian append-only encoder behind every binary file here, the
- *  fleet calibration cache and the fleet report fingerprint. */
+/** Little-endian append-only encoder behind every binary file here and
+ *  the fleet report fingerprint. */
 class ByteWriter
 {
   public:

@@ -1,6 +1,5 @@
 #include "workloads/suite.hh"
 
-#include "common/env.hh"
 #include "common/rng.hh"
 
 namespace constable {
@@ -298,17 +297,6 @@ smtPairs(size_t suite_size)
     for (size_t i = 0; i < stride; ++i)
         pairs.emplace_back(i, i + stride);
     return pairs;
-}
-
-size_t
-defaultTraceOps()
-{
-    if (auto v = envU64("CONSTABLE_TRACE_OPS")) {
-        if (*v == 0)
-            fatal("CONSTABLE_TRACE_OPS must be >= 1");
-        return static_cast<size_t>(*v);
-    }
-    return 60'000;
 }
 
 } // namespace constable

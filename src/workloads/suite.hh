@@ -27,9 +27,6 @@ std::vector<WorkloadSpec> smokeSuite(size_t target_ops);
 /** Deterministic SMT2 pairings over a suite (adjacent distinct categories). */
 std::vector<std::pair<size_t, size_t>> smtPairs(size_t suite_size);
 
-/** Default per-trace op count, overridable via env CONSTABLE_TRACE_OPS. */
-size_t defaultTraceOps();
-
 } // namespace constable
 
 #endif

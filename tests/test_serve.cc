@@ -387,6 +387,23 @@ TEST_F(FleetEndToEnd, FingerprintSurvivesThreadsAndCheckpointResume)
     FleetReport resumed = runFleetScenario(sc, ck);
     EXPECT_GT(resumed.resumedCells, 0u);
     EXPECT_EQ(resumed.fingerprint(), serial.fingerprint());
+
+    // A second trace length into the same checkpoint dir, then back: each
+    // report matches that length's own run without a checkpoint dir, and
+    // the store holds cells only (no side files, nothing quarantined).
+    ExperimentOptions longer = opts;
+    longer.traceOps = 1600;
+    uint64_t longerFp = runFleetScenario(sc, longer).fingerprint();
+    EXPECT_NE(longerFp, serial.fingerprint());
+    ExperimentOptions ckLonger = longer;
+    ckLonger.checkpointDir = dir;
+    EXPECT_EQ(runFleetScenario(sc, ckLonger).fingerprint(), longerFp);
+    FleetReport back = runFleetScenario(sc, ck);
+    EXPECT_GT(back.resumedCells, 0u);
+    EXPECT_EQ(back.fingerprint(), serial.fingerprint());
+    for (const auto& e : fs::recursive_directory_iterator(dir))
+        EXPECT_NE(e.path().extension().string(), ".calib") << e.path();
+    EXPECT_FALSE(fs::exists(dir + "/quarantine"));
 }
 
 } // namespace

@@ -590,60 +590,46 @@ TEST_F(ShardTest, ClockSkewOnLeaseAgeIsClampedNotReclaimed)
               serializeRunResult(syntheticCell(0)));
 }
 
-// -------------------------------------------------- cost-model scheduling
+// ------------------------------------------------------------ claim order
 
-/** Shard-aware scheduling: with a prior BENCH_perf.json as cost model,
- *  workers claim the most expensive preset's cells first (rows ascending
- *  within a preset), not stride order. */
-TEST_F(ShardTest, CostModelClaimsExpensiveCellsFirst)
+/** Claim order: with `.cost` sidecars from an earlier pass, the most
+ *  expensive config's cells come first (rows ascending within a config)
+ *  and a config without sidecars gets the mean observed cost; without
+ *  sidecars, worker k of N starts its scan at cell k * n / N. */
+TEST_F(ShardTest, ClaimOrderFollowsSidecarsElseStride)
 {
-    SweepManifest m = syntheticManifest();
-    m.configNames = { "fast", "mid", "slow" }; // 2 rows x 3 configs
-    std::string model = dir + "/BENCH_perf.json";
-    std::ofstream(model)
-        << "{\n  \"presets\": [\n"
-           "    {\"name\":\"fast\", \"mops_per_sec\":100.0},\n"
-           "    {\"name\":\"mid\", \"mops_per_sec\":10.0},\n"
-           "    {\"name\":\"slow\", \"mops_per_sec\":1.0}\n  ],\n"
-           // The sampled section reuses the preset names, and a reader
-           // that scans forward from the last of them for "mops_per_sec"
-           // lands on the total's value: slow would then claim last.
-           "  \"sampled\": {\"spec\":\"phases:8\", \"presets\": [\n"
-           "    {\"name\":\"fast\", \"effective_mops_per_sec\":900.0},\n"
-           "    {\"name\":\"slow\", \"effective_mops_per_sec\":800.0}\n"
-           "  ], \"wall_seconds\":1.0, \"effective_mops_per_sec\":850.0},\n"
-           "  \"total\": {\"wall_seconds\":9.0, \"mops_per_sec\":1000.0}\n"
-           "}\n";
-
-    std::vector<size_t> computedOrder;
-    auto compute = [&](size_t cell) {
-        computedOrder.push_back(cell); // serial worker: no locking needed
-        return syntheticCell(cell);
+    SweepManifest m = syntheticManifest(); // cells are row * 3 + cfg
+    auto claimOrder = [&](const std::string& root, ShardOptions o) {
+        std::vector<size_t> order;
+        auto compute = [&](size_t cell) {
+            order.push_back(cell); // serial worker: no locking needed
+            return syntheticCell(cell);
+        };
+        std::vector<RunResult> out;
+        ShardOutcome oc = runShardedCells(root, m, compute, out, o);
+        EXPECT_EQ(oc.computed, m.numCells());
+        return order;
     };
-    ShardOptions o = workerOpts(0);
-    o.costModelPath = model;
-    std::vector<RunResult> out;
-    ShardOutcome oc = runShardedCells(dir, m, compute, out, o);
-    EXPECT_EQ(oc.computed, 6u);
 
-    // Cells are row * 3 + cfg; slow = cfg 2, mid = 1, fast = 0.
-    std::vector<size_t> expected = { 2, 5, 1, 4, 0, 3 };
-    EXPECT_EQ(computedOrder, expected);
-
-    // An unknown preset name gets the mean known cost (neutral), and a
-    // missing file falls back to stride order rather than failing.
-    ShardOptions missing = workerOpts(0);
-    missing.costModelPath = dir + "/no-such.json";
-    std::string d2 = dir + "/fallback";
-    fs::create_directories(d2);
-    std::vector<size_t> fallbackOrder;
-    auto compute2 = [&](size_t cell) {
-        fallbackOrder.push_back(cell);
-        return syntheticCell(cell);
+    // Sidecars only (no checkpoints), so every cell is still computed:
+    // cfg 2 costs 2 s, cfg 1 costs 0.5 s, and cfg 0 has none, so it gets
+    // the mean 1.25 s and lands between them.
+    fs::create_directories(cellStoreDir(dir));
+    const std::vector<std::pair<size_t, const char*>> sidecars = {
+        { 2, "2.0" }, { 5, "2.0" }, { 1, "0.5" }
     };
-    runShardedCells(d2, m, compute2, out, missing);
-    std::vector<size_t> stride = { 0, 1, 2, 3, 4, 5 };
-    EXPECT_EQ(fallbackOrder, stride);
+    for (const auto& [cell, sec] : sidecars)
+        std::ofstream(cellFilePath(dir, m, cell) + ".cost") << sec;
+    std::vector<size_t> ranked = { 2, 5, 0, 3, 1, 4 };
+    EXPECT_EQ(claimOrder(dir, workerOpts(0)), ranked);
+
+    // A fresh directory: worker 1 of 2 starts at cell n / 2.
+    ShardOptions second = workerOpts(1);
+    second.shards = 2;
+    std::string fresh = dir + "/fresh";
+    fs::create_directories(fresh);
+    std::vector<size_t> stride = { 3, 4, 5, 0, 1, 2 };
+    EXPECT_EQ(claimOrder(fresh, second), stride);
 }
 
 // --------------------------------------------------- experiment integration
@@ -727,8 +713,7 @@ TEST_F(ShardTest, ShardIdBeyondShardCountIsFatal)
 TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
 {
     const char* argv[] = { "prog", "--shards=4", "--shard-id=2",
-                           "--lease-ttl-sec=7", "--shard-poll-ms=5",
-                           "--cost-model=perf.json" };
+                           "--lease-ttl-sec=7", "--shard-poll-ms=5" };
     auto opts = ExperimentOptions::fromArgs(
         static_cast<int>(std::size(argv)), const_cast<char**>(argv));
     EXPECT_EQ(opts.shards, 4u);
@@ -739,7 +724,6 @@ TEST(ShardOptionsParse, FlagsAndEnvRoundTrip)
     ShardOptions s = opts.shard();
     EXPECT_EQ(s.shards, 4u);
     EXPECT_EQ(s.shardId, 2);
-    EXPECT_EQ(s.costModelPath, "perf.json");
 
     setenv("CONSTABLE_SHARDS", "3", 1);
     setenv("CONSTABLE_SHARD_ID", "0", 1);

@@ -12,11 +12,10 @@
  *  - "write" points take eio, torn and crash,
  *  - "clock" points take skew.
  *
- * Child modes run a real workload: `--run-sweep` executes a worker-mode
- * sharded experiment (lease claims, heartbeats, manifest, per-cell
- * checkpoints) and `--run-fleet` a fleet scenario with calibration-cache
- * persistence. Each prints its final matrix/report fingerprint and the
- * armed clause's hit counts.
+ * The child (`--run-sweep`) runs a real workload: a worker-mode sharded
+ * experiment (lease claims, heartbeats, manifest, per-cell checkpoints).
+ * It prints its final matrix fingerprint and the armed clause's hit
+ * counts.
  *
  * A pair PASSES when the child's fingerprint is bit-identical to the
  * fault-free baseline — crash points included, after re-launching into
@@ -43,9 +42,7 @@
 #include "common/faultio.hh"
 #include "common/logging.hh"
 #include "common/obs.hh"
-#include "serve/fleet.hh"
 #include "sim/experiment.hh"
-#include "sim/scenario.hh"
 #include "sim/shard.hh"
 #include "trace/serialize.hh"
 #include "workloads/suite.hh"
@@ -75,7 +72,6 @@ childOptions()
     opts.threads = 2;
     opts.traceOps = kTraceOps;
     opts.suiteLimit = 3;
-    opts.costModelPath.clear();
     // Ambient CONSTABLE_TRACE_OUT/METRICS_OUT must not leak into the
     // crash-and-relaunch children: dozens of processes would race their
     // atexit writers on the same two files. Fingerprint comparison is the
@@ -152,42 +148,6 @@ runSweepChild()
     return 0;
 }
 
-/** Fleet scenario with calibration-cache persistence; the calibration
- *  sweep runs through the plain (non-sharded) checkpoint/resume path. */
-int
-runFleetChild()
-{
-    ExperimentOptions opts = childOptions();
-    if (opts.checkpointDir.empty())
-        fatal("--run-fleet needs CONSTABLE_CHECKPOINT_DIR");
-
-    Scenario sc;
-    sc.name = "faultsweep-fleet";
-    sc.traceOps = kTraceOps;
-    sc.suiteLimit = 2;
-    FleetMachineClass m;
-    m.name = "m0";
-    m.mech = "baseline";
-    m.cores = 2;
-    m.replicas = 1;
-    m.idlePjPerCycle = 1;
-    sc.machines.push_back(m);
-    FleetTaskClass t;
-    t.name = "t0";
-    t.interArrival = 5000;
-    t.expectedOps = 2000;
-    t.start = 0;
-    t.end = 200'000;
-    t.poisson = false;
-    t.sla = SlaTier::Sla1;
-    t.seed = 7;
-    sc.tasks.push_back(t);
-
-    FleetReport rep = runFleetScenario(sc, opts);
-    printChildResult(rep.fingerprint());
-    return 0;
-}
-
 // ----------------------------------------------------------- driver side
 
 /** The actions a point's kind admits. */
@@ -245,7 +205,7 @@ struct LaunchResult
 
 /** Fork + exec one child run, stdout+stderr appended to @p logPath. */
 LaunchResult
-launchChild(const char* self, const char* mode, const std::string& plan,
+launchChild(const char* self, const std::string& plan,
             const std::string& point, const std::string& markerDir,
             const std::string& ckptDir, const std::string& traceDir,
             const std::string& logPath)
@@ -271,7 +231,7 @@ launchChild(const char* self, const char* mode, const std::string& plan,
         }
         // A fresh exec, not a fork-continue: the env fault plan must be
         // re-armed by static init exactly as in a real process launch.
-        ::execl(self, self, mode, static_cast<char*>(nullptr));
+        ::execl(self, self, "--run-sweep", static_cast<char*>(nullptr));
         std::fprintf(stderr, "execl('%s') failed\n", self);
         ::_exit(127);
     }
@@ -328,9 +288,9 @@ struct Leg
  * cache the faulted run left (see the file comment).
  */
 Leg
-runLeg(const char* self, const std::string& scratch, const char* mode,
-       const char* point, const std::string& action, std::string traceDir,
-       bool verify, uint64_t want)
+runLeg(const char* self, const std::string& scratch, const char* point,
+       const std::string& action, std::string traceDir, bool verify,
+       uint64_t want)
 {
     Leg leg;
     leg.plan = std::string(point) + ":" + action + "@1";
@@ -351,7 +311,7 @@ runLeg(const char* self, const std::string& scratch, const char* mode,
     bool recovered = false;
     uint64_t hits = 0;
     for (unsigned launch = 0; launch < kLaunchesPerRun; ++launch) {
-        LaunchResult r = launchChild(self, mode, leg.plan, point, markerDir,
+        LaunchResult r = launchChild(self, leg.plan, point, markerDir,
                                      ckptDir, traceDir, runDir + "/log.txt");
         if (r.exitCode == kFaultCrashExitCode) {
             crashed = true;
@@ -382,7 +342,7 @@ runLeg(const char* self, const std::string& scratch, const char* mode,
     // The faulted run's trace cache must not poison a later run.
     size_t torn = unreadableTraces(traceDir);
     std::string log = runDir + "/verify-log.txt";
-    LaunchResult v = launchChild(self, mode, "", "", markerDir,
+    LaunchResult v = launchChild(self, "", "", markerDir,
                                  runDir + "/verify-ckpt", traceDir, log);
     std::string text;
     readFileText(log, text);
@@ -410,32 +370,24 @@ runDriver(const char* self)
     std::string warmTraces = scratch + "/traces";
     fs::create_directories(warmTraces);
 
-    // Fault-free baselines, one per child kind. The sweep baseline also
-    // warms the shared trace cache.
-    uint64_t baseFp[2] = { 0, 0 };
-    const char* modes[2] = { "--run-sweep", "--run-fleet" };
-    for (int k = 0; k < 2; ++k) {
-        std::string dir = scratch + std::string("/base") + modes[k][6];
-        fs::create_directories(dir);
-        LaunchResult r =
-            launchChild(self, modes[k], "", "", dir + "/markers", dir,
-                        warmTraces, dir + "/log.txt");
-        if (r.exitCode != 0 || !r.haveFingerprint) {
-            fatal(std::string("fault-free baseline run (") + modes[k] +
-                  ") failed; see " + dir + "/log.txt");
-        }
-        baseFp[k] = r.fingerprint;
-        std::printf("baseline %-12s fingerprint %016llx\n", modes[k] + 2,
-                    static_cast<unsigned long long>(baseFp[k]));
+    // The fault-free baseline, which also warms the shared trace cache.
+    std::string baseDir = scratch + "/base";
+    fs::create_directories(baseDir);
+    LaunchResult base = launchChild(self, "", "", baseDir + "/markers",
+                                    baseDir, warmTraces,
+                                    baseDir + "/log.txt");
+    if (base.exitCode != 0 || !base.haveFingerprint) {
+        fatal("fault-free baseline run failed; see " + baseDir +
+              "/log.txt");
     }
+    const uint64_t want = base.fingerprint;
+    std::printf("baseline run-sweep   fingerprint %016llx\n",
+                static_cast<unsigned long long>(want));
 
     size_t pass = 0, fail = 0;
     std::vector<std::string> failures;
     for (const FaultPointInfo& p : faultPointTable()) {
-        bool fleetPoint = std::strncmp(p.name, "fleet.", 6) == 0;
         bool atomicPoint = std::strncmp(p.name, "atomic.", 7) == 0;
-        const char* mode = fleetPoint ? "--run-fleet" : "--run-sweep";
-        uint64_t want = baseFp[fleetPoint ? 1 : 0];
         for (const std::string& action : actionsFor(p.kind)) {
             // A write fault must see a write: arm the trace-cache points
             // (trace.cache.write always, the others for non-eio actions)
@@ -448,7 +400,7 @@ runDriver(const char* self)
                 legs.push_back(true);
             for (bool coldLeg : legs) {
                 bool verify = atomicPoint && coldLeg;
-                Leg leg = runLeg(self, scratch, mode, p.name, action,
+                Leg leg = runLeg(self, scratch, p.name, action,
                                  coldLeg ? "" : warmTraces, verify, want);
                 std::string tag = action + (verify ? "/cold" : "");
                 std::printf("%-28s %-10s %s%s\n", p.name, tag.c_str(),
@@ -495,11 +447,8 @@ main(int argc, char** argv)
     }
     if (argc > 1 && std::strcmp(argv[1], "--run-sweep") == 0)
         return runSweepChild();
-    if (argc > 1 && std::strcmp(argv[1], "--run-fleet") == 0)
-        return runFleetChild();
     if (argc > 1) {
-        std::fprintf(stderr,
-                     "usage: %s [--list | --run-sweep | --run-fleet]\n",
+        std::fprintf(stderr, "usage: %s [--list | --run-sweep]\n",
                      argv[0]);
         return 2;
     }

@@ -37,10 +37,9 @@ serveMain(int argc, char** argv)
                 "                    examples/scenarios/fleet/)\n"
                 "plus the generic experiment options below (threads,\n"
                 "trace cache, checkpoints, shards all shape the preset\n"
-                "calibration sweep). --trace-out adds a 'fleet.calibrate'\n"
-                "span and one lane per machine class to the Perfetto\n"
-                "trace; --metrics-out includes the fleet.calib.cache_*\n"
-                "counters.\n\n");
+                "calibration sweep). --trace-out adds a 'fleet.sweep'\n"
+                "span (that sweep) and one lane per machine class to the\n"
+                "Perfetto trace.\n\n");
         }
     }
 
